@@ -1,23 +1,21 @@
 #include "common/rng.h"
 
-#include <algorithm>
-
 namespace subex {
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   SUBEX_CHECK(k >= 0 && k <= n);
-  // Floyd's algorithm: O(k) expected insertions, no O(n) scratch.
-  std::vector<int> chosen;
-  chosen.reserve(k);
+  // Floyd's algorithm: k draws, each checked for membership in an n-entry
+  // bitmap in O(1); reading the bitmap out yields the values ascending.
+  std::vector<bool> taken(n, false);
   for (int j = n - k; j < n; ++j) {
     const int t = UniformInt(0, j);
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
-      chosen.push_back(t);
-    } else {
-      chosen.push_back(j);
-    }
+    taken[taken[t] ? j : t] = true;
   }
-  std::sort(chosen.begin(), chosen.end());
+  std::vector<int> chosen;
+  chosen.reserve(k);
+  for (int v = 0; v < n; ++v) {
+    if (taken[v]) chosen.push_back(v);
+  }
   return chosen;
 }
 

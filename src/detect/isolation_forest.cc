@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -10,81 +10,78 @@
 namespace subex {
 namespace {
 
-// One node of an isolation tree, stored in a flat vector. Leaves carry the
-// number of subsample points that reached them (for the c(size) correction).
+// One node of an isolation tree, stored in build order: a split node's left
+// child is the next node. A leaf (split -inf, right = itself) keeps every
+// point that reaches it, so each point takes exactly height_limit steps; its
+// path_length is its depth plus c(size) of the subsample points it holds.
 struct Node {
-  FeatureId feature = -1;   // -1 marks a leaf.
-  double split = 0.0;
-  int left = -1;
-  int right = -1;
-  int size = 0;
+  double split;
+  double path_length;
+  int feature;  // Column of the gathered block.
+  int right;
 };
 
-class IsolationTree {
- public:
-  /// Builds a tree over the rows `sample` of `data` using the given global
-  /// feature ids, splitting until isolation or `height_limit`.
-  IsolationTree(const Dataset& data, std::span<const FeatureId> features,
-                std::vector<int> sample, int height_limit, Rng& rng) {
-    nodes_.reserve(2 * sample.size());
-    root_ = Build(data, features, std::move(sample), 0, height_limit, rng);
-  }
+// State shared by the trees of one Score call: the subspace's columns
+// gathered into one column-major block, c(size) per leaf size, and the
+// nodes of the current tree.
+struct Forest {
+  std::size_t n = 0;
+  int height_limit = 0;
+  std::vector<double> columns;
+  std::vector<double> leaf_c;
+  std::vector<Node> nodes;
 
-  /// Path length of point `p`: depth of the leaf it lands in plus the
-  /// average-path correction c(leaf size).
-  double PathLength(const Dataset& data, int p) const {
-    int node = root_;
-    double depth = 0.0;
-    while (nodes_[node].feature >= 0) {
-      node = data.Value(p, nodes_[node].feature) < nodes_[node].split
-                 ? nodes_[node].left
-                 : nodes_[node].right;
-      depth += 1.0;
-    }
-    return depth + IsolationForest::AveragePathLength(nodes_[node].size);
-  }
-
- private:
-  int Build(const Dataset& data, std::span<const FeatureId> features,
-            std::vector<int> sample, int height, int height_limit, Rng& rng) {
-    const int index = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[index].size = static_cast<int>(sample.size());
-    if (height >= height_limit || sample.size() <= 1) return index;
-
+  /// Splits the sample rows [begin, end) in place until isolation or the
+  /// height limit, appending nodes depth-first, left subtree first.
+  void Grow(int* begin, int* end, int height, Rng& rng) {
+    const int index = static_cast<int>(nodes.size());
+    nodes.push_back({-std::numeric_limits<double>::infinity(),
+                     height + leaf_c[end - begin], 0, index});
     // Pick a feature that still varies within the sample; give up after a
     // few tries (all-constant region -> leaf).
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const FeatureId f = features[rng.UniformIndex(features.size())];
-      double lo = data.Value(sample[0], f);
+    for (int attempt = 0;
+         attempt < 8 && height < height_limit && end - begin > 1; ++attempt) {
+      const std::size_t f = rng.UniformIndex(columns.size() / n);
+      const double* column = columns.data() + f * n;
+      double lo = column[*begin];
       double hi = lo;
-      for (int p : sample) {
-        lo = std::min(lo, data.Value(p, f));
-        hi = std::max(hi, data.Value(p, f));
+      for (const int* p = begin; p != end; ++p) {
+        lo = std::min(lo, column[*p]);
+        hi = std::max(hi, column[*p]);
       }
       if (hi - lo < 1e-12) continue;
       const double split = rng.Uniform(lo, hi);
-      std::vector<int> left_sample;
-      std::vector<int> right_sample;
-      for (int p : sample) {
-        (data.Value(p, f) < split ? left_sample : right_sample).push_back(p);
-      }
-      if (left_sample.empty() || right_sample.empty()) continue;
-      const int left = Build(data, features, std::move(left_sample),
-                             height + 1, height_limit, rng);
-      const int right = Build(data, features, std::move(right_sample),
-                              height + 1, height_limit, rng);
-      nodes_[index].feature = f;
-      nodes_[index].split = split;
-      nodes_[index].left = left;
-      nodes_[index].right = right;
-      return index;
+      int* mid = std::partition(begin, end,
+                                [&](int p) { return column[p] < split; });
+      if (mid == begin || mid == end) continue;
+      nodes[index].feature = static_cast<int>(f);
+      nodes[index].split = split;
+      Grow(begin, mid, height + 1, rng);
+      nodes[index].right = static_cast<int>(nodes.size());
+      Grow(mid, end, height + 1, rng);
+      return;
     }
-    return index;  // Leaf: no usable split found.
   }
 
-  std::vector<Node> nodes_;
-  int root_ = 0;
+  /// Adds every point's path length in the current tree to `sum`. Points
+  /// descend eight at a time in lockstep, so their dependent loads overlap.
+  void AddPathLengths(std::vector<double>& sum) const {
+    constexpr std::size_t kLanes = 8;
+    for (std::size_t first = 0; first < n; first += kLanes) {
+      const std::size_t lanes = std::min(kLanes, n - first);
+      int node[kLanes] = {};
+      for (int step = 0; step < height_limit; ++step) {
+        for (std::size_t i = 0; i < lanes; ++i) {
+          const Node& at = nodes[node[i]];
+          const int left = columns[at.feature * n + first + i] < at.split;
+          node[i] = at.right + left * (node[i] + 1 - at.right);
+        }
+      }
+      for (std::size_t i = 0; i < lanes; ++i) {
+        sum[first + i] += nodes[node[i]].path_length;
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -107,18 +104,19 @@ std::vector<double> IsolationForest::Score(const Dataset& data,
   const int n = static_cast<int>(data.num_points());
   SUBEX_CHECK(n >= 2);
 
-  std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
-
+  const Subspace space = subspace.empty() ? data.FullSpace() : subspace;
   const int psi = std::min(options_.subsample_size, n);
-  const int height_limit =
+  Forest forest;
+  forest.n = n;
+  forest.height_limit =
       static_cast<int>(std::ceil(std::log2(static_cast<double>(psi))));
-  const double c_psi = AveragePathLength(psi);
+  for (FeatureId f : space.AsSpan()) {
+    for (int p = 0; p < n; ++p) forest.columns.push_back(data.Value(p, f));
+  }
+  for (int size = 0; size <= psi; ++size) {
+    forest.leaf_c.push_back(AveragePathLength(size));
+  }
+  const double c_psi = forest.leaf_c[psi];
 
   // Deterministic per-(seed, subspace) randomness so Score is pure.
   const std::uint64_t subspace_salt = SubspaceHash()(subspace);
@@ -130,9 +128,9 @@ std::vector<double> IsolationForest::Score(const Dataset& data,
     std::vector<double> path_sum(n, 0.0);
     for (int t = 0; t < options_.num_trees; ++t) {
       std::vector<int> sample = rng.SampleWithoutReplacement(n, psi);
-      IsolationTree tree(data, features, std::move(sample), height_limit,
-                         rng);
-      for (int p = 0; p < n; ++p) path_sum[p] += tree.PathLength(data, p);
+      forest.nodes.clear();
+      forest.Grow(sample.data(), sample.data() + psi, 0, rng);
+      forest.AddPathLengths(path_sum);
     }
     for (int p = 0; p < n; ++p) {
       const double mean_path = path_sum[p] / options_.num_trees;

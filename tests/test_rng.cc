@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace subex {
@@ -103,6 +105,45 @@ TEST(RngTest, SampleWithoutReplacementCoversAllValues) {
     for (int v : rng.SampleWithoutReplacement(10, 3)) seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// Reference sampler: Floyd's algorithm with a linear `std::find` over the
+// values chosen so far, then a sort. `Rng::SampleWithoutReplacement` must
+// match it draw for draw.
+std::vector<int> ReferenceSample(Rng& rng, int n, int k) {
+  std::vector<int> chosen;
+  for (int j = n - k; j < n; ++j) {
+    const int t = rng.UniformInt(0, j);
+    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
+      chosen.push_back(t);
+    } else {
+      chosen.push_back(j);
+    }
+  }
+  std::sort(chosen.begin(), chosen.end());
+  return chosen;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesReferenceSampler) {
+  Rng shapes(41);
+  std::vector<std::pair<int, int>> cases = {{1, 0}, {1, 1}, {7, 0}, {7, 7},
+                                            {300, 256}, {256, 256}};
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = shapes.UniformInt(1, 400);
+    cases.emplace_back(n, shapes.UniformInt(0, n));
+  }
+  for (const auto& [n, k] : cases) {
+    const std::uint64_t seed = shapes.engine()();
+    Rng actual(seed);
+    Rng reference(seed);
+    EXPECT_EQ(actual.SampleWithoutReplacement(n, k),
+              ReferenceSample(reference, n, k))
+        << "n=" << n << " k=" << k;
+    // Callers such as the isolation forest keep drawing from the same Rng
+    // after sampling, so both must have consumed the same draws.
+    EXPECT_EQ(actual.engine()(), reference.engine()())
+        << "n=" << n << " k=" << k;
+  }
 }
 
 TEST(RngTest, ShufflePermutes) {
