@@ -246,39 +246,49 @@ ClientStatus ExplainClient::RoundTrip(const std::vector<std::uint8_t>& request,
   return ClientStatus::kBusy;
 }
 
-ExplainClient::ScoreReply ExplainClient::Score(const std::string& detector,
-                                               const Subspace& subspace) {
-  ScoreReply reply;
-  ScoreRequest request;
-  request.detector = detector;
-  request.subspace = subspace;
+template <typename Encode, typename Decode>
+ClientStatus ExplainClient::Call(const char* name, bool traced,
+                                 MessageType expected, const Encode& encode,
+                                 const Decode& decode, std::string* error) {
   const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
+  // Control traffic (TraceDump, Prof*) stays untraced: the dump itself
+  // shouldn't pollute the dump, nor the profile.
+  const std::uint64_t trace_id = traced ? BeginTrace() : 0;
+  const std::uint32_t deadline_ms = traced ? options_.deadline_ms : 0;
   MessageType type = MessageType::kError;
   std::vector<std::uint8_t> body;
   const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeScoreRequest(id, request, trace_id,
-                                              options_.deadline_ms),
-                           id, &type,
-                           &body, &reply.error);
-  RecordClientSpan("client.score", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
+  const ClientStatus status = RoundTrip(encode(id, trace_id, deadline_ms), id,
+                                        &type, &body, error);
+  RecordClientSpan(name, trace_id, start);
+  if (status != ClientStatus::kOk) return status;
   WireReader reader(body);
   if (type == MessageType::kError) {
     TextResult text;
-    reply.status = ClientStatus::kServerError;
-    reply.error = DecodeTextResult(reader, &text) ? text.text
-                                                  : "undecodable kError body";
-    return reply;
+    *error = DecodeTextResult(reader, &text) ? text.text
+                                             : "undecodable kError body";
+    return ClientStatus::kServerError;
   }
+  if (type != expected || !decode(reader)) {
+    *error = std::string("unexpected response to ") + name;
+    return ClientStatus::kTransportError;
+  }
+  return ClientStatus::kOk;
+}
+
+ExplainClient::ScoreReply ExplainClient::Score(const std::string& detector,
+                                               const Subspace& subspace) {
+  const ScoreRequest request{detector, subspace};
   ScoreResult result;
-  if (type != MessageType::kScoreResult ||
-      !DecodeScoreResult(reader, &result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "unexpected response to kScore";
-    return reply;
-  }
-  reply.scores = std::move(result.scores);
+  ScoreReply reply;
+  reply.status = Call(
+      "client.score", true, MessageType::kScoreResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeScoreRequest(id, request, trace_id, deadline);
+      },
+      [&](WireReader& reader) { return DecodeScoreResult(reader, &result); },
+      &reply.error);
+  if (reply.ok()) reply.scores = std::move(result.scores);
   return reply;
 }
 
@@ -286,142 +296,71 @@ ExplainClient::ExplainReply ExplainClient::Explain(const std::string& detector,
                                                    const std::string& explainer,
                                                    int point, int target_dim,
                                                    std::uint32_t max_results) {
-  ExplainReply reply;
-  ExplainRequest request;
-  request.detector = detector;
-  request.explainer = explainer;
-  request.point = point;
-  request.target_dim = target_dim;
-  request.max_results = max_results;
-  const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeExplainRequest(id, request, trace_id,
-                                                options_.deadline_ms),
-                           id,
-                           &type, &body, &reply.error);
-  RecordClientSpan("client.explain", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  if (type == MessageType::kError) {
-    TextResult text;
-    reply.status = ClientStatus::kServerError;
-    reply.error = DecodeTextResult(reader, &text) ? text.text
-                                                  : "undecodable kError body";
-    return reply;
-  }
+  const ExplainRequest request{detector, explainer, point, target_dim,
+                               max_results};
   ExplainResult result;
-  if (type != MessageType::kExplainResult ||
-      !DecodeExplainResult(reader, &result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "unexpected response to kExplain";
-    return reply;
-  }
-  reply.ranking = std::move(result.ranking);
+  ExplainReply reply;
+  reply.status = Call(
+      "client.explain", true, MessageType::kExplainResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeExplainRequest(id, request, trace_id, deadline);
+      },
+      [&](WireReader& reader) { return DecodeExplainResult(reader, &result); },
+      &reply.error);
+  if (reply.ok()) reply.ranking = std::move(result.ranking);
   return reply;
 }
 
 ExplainClient::StatsReply ExplainClient::Stats() {
+  TextResult result;
   StatsReply reply;
-  const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeStatsRequest(id, trace_id, options_.deadline_ms),
-                           id, &type, &body,
-                           &reply.error);
-  RecordClientSpan("client.stats", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  TextResult text;
-  if (!DecodeTextResult(reader, &text)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "undecodable stats body";
-    return reply;
-  }
-  if (type == MessageType::kError) {
-    reply.status = ClientStatus::kServerError;
-    reply.error = text.text;
-    return reply;
-  }
-  reply.json = std::move(text.text);
+  reply.status = Call(
+      "client.stats", true, MessageType::kStatsResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeStatsRequest(id, trace_id, deadline);
+      },
+      [&](WireReader& reader) { return DecodeTextResult(reader, &result); },
+      &reply.error);
+  if (reply.ok()) reply.json = std::move(result.text);
   return reply;
 }
 
 ExplainClient::IngestReply ExplainClient::Ingest(const std::string& dataset,
                                                  std::uint32_t num_rows,
                                                  std::vector<double> values) {
+  const IngestRequest request{dataset, num_rows, std::move(values)};
   IngestReply reply;
-  IngestRequest request;
-  request.dataset = dataset;
-  request.num_rows = num_rows;
-  request.values = std::move(values);
-  const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeIngestRequest(id, request, trace_id,
-                                               options_.deadline_ms),
-                           id,
-                           &type, &body, &reply.error);
-  RecordClientSpan("client.ingest", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  if (type == MessageType::kError) {
-    TextResult text;
-    reply.status = ClientStatus::kServerError;
-    reply.error = DecodeTextResult(reader, &text) ? text.text
-                                                  : "undecodable kError body";
-    return reply;
-  }
-  if (type != MessageType::kIngestResult ||
-      !DecodeIngestResult(reader, &reply.result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "unexpected response to kIngest";
-  }
+  reply.status = Call(
+      "client.ingest", true, MessageType::kIngestResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeIngestRequest(id, request, trace_id, deadline);
+      },
+      [&](WireReader& reader) {
+        return DecodeIngestResult(reader, &reply.result);
+      },
+      &reply.error);
   return reply;
 }
 
 ExplainClient::OnlineScoreReply ExplainClient::OnlineScore(
     const std::string& dataset, const std::string& detector,
     const Subspace& subspace) {
-  OnlineScoreReply reply;
-  OnlineScoreRequest request;
-  request.dataset = dataset;
-  request.detector = detector;
-  request.subspace = subspace;
-  const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeOnlineScoreRequest(id, request, trace_id,
-                                                    options_.deadline_ms),
-                           id,
-                           &type, &body, &reply.error);
-  RecordClientSpan("client.online_score", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  if (type == MessageType::kError) {
-    TextResult text;
-    reply.status = ClientStatus::kServerError;
-    reply.error = DecodeTextResult(reader, &text) ? text.text
-                                                  : "undecodable kError body";
-    return reply;
-  }
+  const OnlineScoreRequest request{dataset, detector, subspace};
   OnlineScoreResult result;
-  if (type != MessageType::kOnlineScoreResult ||
-      !DecodeOnlineScoreResult(reader, &result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "unexpected response to kOnlineScore";
-    return reply;
+  OnlineScoreReply reply;
+  reply.status = Call(
+      "client.online_score", true, MessageType::kOnlineScoreResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeOnlineScoreRequest(id, request, trace_id, deadline);
+      },
+      [&](WireReader& reader) {
+        return DecodeOnlineScoreResult(reader, &result);
+      },
+      &reply.error);
+  if (reply.ok()) {
+    reply.epoch = result.epoch;
+    reply.scores = std::move(result.scores);
   }
-  reply.epoch = result.epoch;
-  reply.scores = std::move(result.scores);
   return reply;
 }
 
@@ -429,116 +368,67 @@ ExplainClient::OnlineExplainReply ExplainClient::OnlineExplain(
     const std::string& dataset, const std::string& detector,
     const std::string& explainer, int point, int target_dim,
     std::uint32_t max_results) {
-  OnlineExplainReply reply;
-  OnlineExplainRequest request;
-  request.dataset = dataset;
-  request.detector = detector;
-  request.explainer = explainer;
-  request.point = point;
-  request.target_dim = target_dim;
-  request.max_results = max_results;
-  const std::uint64_t id = next_request_id_++;
-  const std::uint64_t trace_id = BeginTrace();
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  const auto start = std::chrono::steady_clock::now();
-  reply.status = RoundTrip(EncodeOnlineExplainRequest(id, request, trace_id,
-                                                      options_.deadline_ms),
-                           id, &type, &body, &reply.error);
-  RecordClientSpan("client.online_explain", trace_id, start);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  if (type == MessageType::kError) {
-    TextResult text;
-    reply.status = ClientStatus::kServerError;
-    reply.error = DecodeTextResult(reader, &text) ? text.text
-                                                  : "undecodable kError body";
-    return reply;
-  }
+  const OnlineExplainRequest request{dataset,    detector,   explainer,
+                                     point,      target_dim, max_results};
   OnlineExplainResult result;
-  if (type != MessageType::kOnlineExplainResult ||
-      !DecodeOnlineExplainResult(reader, &result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "unexpected response to kOnlineExplain";
-    return reply;
+  OnlineExplainReply reply;
+  reply.status = Call(
+      "client.online_explain", true, MessageType::kOnlineExplainResult,
+      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
+        return EncodeOnlineExplainRequest(id, request, trace_id, deadline);
+      },
+      [&](WireReader& reader) {
+        return DecodeOnlineExplainResult(reader, &result);
+      },
+      &reply.error);
+  if (reply.ok()) {
+    reply.computed_epoch = result.computed_epoch;
+    reply.current_epoch = result.current_epoch;
+    reply.ranking = std::move(result.ranking);
   }
-  reply.computed_epoch = result.computed_epoch;
-  reply.current_epoch = result.current_epoch;
-  reply.ranking = std::move(result.ranking);
   return reply;
 }
 
 ExplainClient::TraceDumpReply ExplainClient::TraceDump(bool clear) {
+  const TraceDumpRequest request{clear};
+  TextResult result;
   TraceDumpReply reply;
-  TraceDumpRequest request;
-  request.clear = clear;
-  const std::uint64_t id = next_request_id_++;
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  // Deliberately untraced: the dump itself shouldn't pollute the dump.
-  reply.status = RoundTrip(EncodeTraceDumpRequest(id, request), id, &type,
-                           &body, &reply.error);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
-  TextResult text;
-  if (!DecodeTextResult(reader, &text)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "undecodable trace dump body";
-    return reply;
-  }
-  if (type == MessageType::kError) {
-    reply.status = ClientStatus::kServerError;
-    reply.error = text.text;
-    return reply;
-  }
-  reply.json = std::move(text.text);
+  reply.status = Call(
+      "client.trace_dump", false, MessageType::kTraceDumpResult,
+      [&](std::uint64_t id, std::uint64_t, std::uint32_t) {
+        return EncodeTraceDumpRequest(id, request);
+      },
+      [&](WireReader& reader) { return DecodeTextResult(reader, &result); },
+      &reply.error);
+  if (reply.ok()) reply.json = std::move(result.text);
   return reply;
 }
 
 ExplainClient::ProfDumpReply ExplainClient::ProfRoundTrip(
     const ProfDumpRequest& request) {
-  ProfDumpReply reply;
-  const std::uint64_t id = next_request_id_++;
-  MessageType type = MessageType::kError;
-  std::vector<std::uint8_t> body;
-  // Untraced, like TraceDump: control traffic stays out of the profile.
-  reply.status = RoundTrip(EncodeProfDumpRequest(id, request), id, &type,
-                           &body, &reply.error);
-  if (reply.status != ClientStatus::kOk) return reply;
-  WireReader reader(body);
   ProfDumpResult result;
-  if (!DecodeProfDumpResult(reader, &result)) {
-    reply.status = ClientStatus::kTransportError;
-    reply.error = "undecodable prof dump body";
-    return reply;
-  }
-  if (type == MessageType::kError) {
-    reply.status = ClientStatus::kServerError;
-    reply.error = result.text;
-    return reply;
-  }
-  reply.text = std::move(result.text);
+  ProfDumpReply reply;
+  reply.status = Call(
+      "client.prof", false, MessageType::kProfDumpResult,
+      [&](std::uint64_t id, std::uint64_t, std::uint32_t) {
+        return EncodeProfDumpRequest(id, request);
+      },
+      [&](WireReader& reader) { return DecodeProfDumpResult(reader, &result); },
+      &reply.error);
+  if (reply.ok()) reply.text = std::move(result.text);
   return reply;
 }
 
 ExplainClient::ProfDumpReply ExplainClient::ProfStart(std::uint32_t sample_hz) {
-  ProfDumpRequest request;
-  request.action = ProfAction::kStart;
-  request.sample_hz = sample_hz;
-  return ProfRoundTrip(request);
+  return ProfRoundTrip({ProfAction::kStart, sample_hz, false});
 }
 
 ExplainClient::ProfDumpReply ExplainClient::ProfStop() {
-  ProfDumpRequest request;
-  request.action = ProfAction::kStop;
-  return ProfRoundTrip(request);
+  return ProfRoundTrip({ProfAction::kStop, 0, false});
 }
 
 ExplainClient::ProfDumpReply ExplainClient::ProfDump(bool clear) {
-  ProfDumpRequest request;
-  request.action = ProfAction::kDump;
-  request.clear = clear;
-  return ProfRoundTrip(request);
+  return ProfRoundTrip({ProfAction::kDump, 0, clear});
 }
 
 }  // namespace subex

@@ -223,6 +223,16 @@ class ExplainClient {
   bool SendAndReceive(const std::vector<std::uint8_t>& request,
                       std::uint64_t request_id, MessageHeader* header,
                       std::vector<std::uint8_t>* body, std::string* error);
+  /// The one typed round trip behind every public call. Encodes the
+  /// request as `encode(request_id, trace_id, deadline_ms)` — with a fresh
+  /// trace id and the options' deadline when `traced`, neither otherwise —
+  /// runs `RoundTrip`, records the `name` span, maps `kError` to
+  /// `kServerError` and hands an `expected`-typed body to `decode`. Any
+  /// other reply type, or a body `decode` rejects, is `kTransportError`.
+  template <typename Encode, typename Decode>
+  ClientStatus Call(const char* name, bool traced, MessageType expected,
+                    const Encode& encode, const Decode& decode,
+                    std::string* error);
   /// Shared body of the three `Prof*` calls.
   ProfDumpReply ProfRoundTrip(const ProfDumpRequest& request);
   /// Fresh trace id when tracing is on (also remembered in

@@ -17,7 +17,6 @@
 #include "fault/fault.h"
 #include "mem/eviction_manager.h"
 #include "obs/build_info.h"
-#include "obs/prometheus.h"
 #include "obs/registry.h"
 #include "obs/span_collector.h"
 #include "obs/trace.h"
@@ -43,10 +42,6 @@ std::uint64_t NsSince(Clock::time_point start) {
                                                            start)
           .count());
 }
-
-/// Request headers longer than this are rejected — `GET /metrics` fits in
-/// a fraction of it, anything bigger is not our client.
-constexpr std::size_t kMaxHttpRequestBytes = 8192;
 
 [[maybe_unused]] constexpr const char kEmptyChromeTrace[] =
     "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
@@ -101,17 +96,6 @@ struct ExplainServer::Connection {
   std::vector<std::unique_ptr<Trace>> trace_pool;
 };
 
-/// One `/metrics` exchange. Loop-thread only, no locking.
-struct ExplainServer::HttpConnection {
-  explicit HttpConnection(Socket s) : socket(std::move(s)) {}
-
-  Socket socket;
-  std::string request;
-  std::string response;
-  std::size_t write_offset = 0;
-  bool response_ready = false;
-};
-
 ExplainServer::ExplainServer(const ExplainServerOptions& options,
                              ThreadPool* pool)
     : options_(options),
@@ -121,21 +105,6 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
       queue_wait_histogram_(
           &MetricsRegistry::Global().GetHistogram("serve.queue_wait")),
       write_histogram_(&MetricsRegistry::Global().GetHistogram("net.write")),
-      score_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.score")),
-      explain_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.explain")),
-      stats_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.stats")),
-      ingest_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.ingest")),
-      online_score_request_histogram_(&MetricsRegistry::Global().GetHistogram(
-          "serve.request.online_score")),
-      online_explain_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram(
-              "serve.request.online_explain")),
-      prof_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.prof")),
       explain_search_histogram_(
           &MetricsRegistry::Global().GetHistogram("explain.search")),
       bytes_received_(
@@ -148,7 +117,27 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
       connections_gauge_(
           &MetricsRegistry::Global().GetGauge("serve.connections")),
       uptime_gauge_(
-          &MetricsRegistry::Global().GetGauge("server.uptime_seconds")) {}
+          &MetricsRegistry::Global().GetGauge("server.uptime_seconds")),
+      metrics_http_(options.host, [this] { RefreshUptimeGauge(); }) {
+  const auto route = [this](MessageType type, const char* label,
+                            Handler handler) {
+    routes_[static_cast<std::size_t>(type)] = {
+        label,
+        &MetricsRegistry::Global().GetHistogram(std::string("serve.request.") +
+                                                label),
+        handler};
+  };
+  route(MessageType::kScore, "score", &ExplainServer::HandleScore);
+  route(MessageType::kExplain, "explain", &ExplainServer::HandleExplain);
+  route(MessageType::kStats, "stats", &ExplainServer::HandleStats);
+  route(MessageType::kTraceDump, "trace_dump", &ExplainServer::HandleTraceDump);
+  route(MessageType::kIngest, "ingest", &ExplainServer::HandleIngest);
+  route(MessageType::kOnlineScore, "online_score",
+        &ExplainServer::HandleOnlineScore);
+  route(MessageType::kOnlineExplain, "online_explain",
+        &ExplainServer::HandleOnlineExplain);
+  route(MessageType::kProfDump, "prof", &ExplainServer::HandleProfDump);
+}
 
 ExplainServer::~ExplainServer() { Stop(); }
 
@@ -181,17 +170,14 @@ bool ExplainServer::Start(std::string* error) {
   // Make the prof availability gauges scrapeable from the first request —
   // they exist (as zeros) even where perf_event_open is denied.
   RegisterProfProcessMetrics();
-  if (options_.metrics_port >= 0) {
-    metrics_listener_ =
-        ListenTcp(options_.host, static_cast<std::uint16_t>(options_.metrics_port),
-                  options_.listen_backlog, &metrics_port_, error);
-    if (!metrics_listener_.valid()) {
-      listener_.Close();
-      return false;
-    }
-  }
   if (!MakeWakePipe(&wake_read_, &wake_write_, error)) return false;
   started_at_ = Clock::now();
+  if (options_.metrics_port >= 0 &&
+      !metrics_http_.Start(static_cast<std::uint16_t>(options_.metrics_port),
+                           error)) {
+    listener_.Close();
+    return false;
+  }
 #ifndef SUBEX_OBS_DISABLED
   if (options_.trace_ring_capacity > 0 && !SpanCollector::Global().enabled()) {
     SpanCollector::Global().Enable(options_.trace_ring_capacity);
@@ -211,6 +197,7 @@ bool ExplainServer::Start(std::string* error) {
 void ExplainServer::Stop() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   if (!loop_thread_.joinable()) return;
+  metrics_http_.Stop();  // Scrapes are stateless: no drain.
   stop_requested_.store(true, std::memory_order_release);
   Wake();
   loop_thread_.join();
@@ -251,7 +238,6 @@ void ExplainServer::Wake() {
 void ExplainServer::Loop() {
   std::vector<pollfd> pfds;
   std::vector<std::shared_ptr<Connection>> polled;
-  std::vector<HttpConnection*> polled_http;
   bool draining = false;
   Clock::time_point drain_deadline{};
 
@@ -261,20 +247,13 @@ void ExplainServer::Loop() {
       drain_deadline =
           Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
       listener_.Close();  // No new connections; stop reading below.
-      metrics_listener_.Close();
-      // Metrics scrapes are cheap and stateless — no drain, just drop them.
-      http_connections_.clear();
     }
 
     pfds.clear();
     polled.clear();
-    polled_http.clear();
     pfds.push_back(pollfd{wake_read_.fd(), POLLIN, 0});
     if (listener_.valid()) {
       pfds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    }
-    if (metrics_listener_.valid()) {
-      pfds.push_back(pollfd{metrics_listener_.fd(), POLLIN, 0});
     }
     for (auto& [fd, conn] : connections_) {
       short events = 0;
@@ -285,11 +264,6 @@ void ExplainServer::Loop() {
       }
       pfds.push_back(pollfd{fd, events, 0});
       polled.push_back(conn);
-    }
-    for (auto& [fd, http] : http_connections_) {
-      pfds.push_back(pollfd{
-          fd, static_cast<short>(http->response_ready ? POLLOUT : POLLIN), 0});
-      polled_http.push_back(http.get());
     }
 
     int timeout_ms = -1;
@@ -312,10 +286,6 @@ void ExplainServer::Loop() {
       if (pfds[index].revents & POLLIN) AcceptNewConnections();
       ++index;
     }
-    if (metrics_listener_.valid()) {
-      if (pfds[index].revents & POLLIN) AcceptMetricsConnections();
-      ++index;
-    }
 
     for (std::size_t i = 0; i < polled.size(); ++i) {
       const std::shared_ptr<Connection>& conn = polled[i];
@@ -333,24 +303,6 @@ void ExplainServer::Loop() {
         }
       }
       if (!alive) CloseConnection(conn);
-    }
-    index += polled.size();
-
-    for (std::size_t i = 0; i < polled_http.size(); ++i) {
-      HttpConnection& http = *polled_http[i];
-      const short revents = pfds[index + i].revents;
-      bool alive = true;
-      if (revents & POLLIN) alive = HandleHttpReadable(http);
-      if (alive && (revents & POLLOUT)) alive = HandleHttpWritable(http);
-      if (alive && (revents & (POLLERR | POLLNVAL | POLLHUP)) &&
-          !(revents & POLLIN)) {
-        alive = false;
-      }
-      if (!alive) {
-        const int fd = http.socket.fd();
-        http.socket.Close();
-        http_connections_.erase(fd);
-      }
     }
 
     if (!draining && options_.idle_timeout_ms > 0) {
@@ -398,97 +350,6 @@ void ExplainServer::Loop() {
   for (const std::shared_ptr<Connection>& conn : remaining) {
     CloseConnection(conn);
   }
-  http_connections_.clear();
-}
-
-void ExplainServer::AcceptMetricsConnections() {
-  while (true) {
-    const int fd = ::accept(metrics_listener_.fd(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    Socket socket(fd);
-    if (!SetNonBlocking(fd, true)) continue;
-    http_connections_.emplace(fd,
-                              std::make_unique<HttpConnection>(std::move(socket)));
-  }
-}
-
-bool ExplainServer::HandleHttpReadable(HttpConnection& conn) {
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(conn.socket.fd(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.request.append(buf, static_cast<std::size_t>(n));
-      if (conn.request.size() > kMaxHttpRequestBytes) return false;
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
-    } else if (n == 0) {
-      return false;  // EOF before a complete request.
-    } else {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-  }
-  if (!conn.response_ready &&
-      conn.request.find("\r\n\r\n") != std::string::npos) {
-    conn.response = BuildMetricsHttpResponse(conn.request);
-    conn.response_ready = true;
-    // Try to flush immediately — most scrapes fit one send.
-    return HandleHttpWritable(conn);
-  }
-  return true;
-}
-
-bool ExplainServer::HandleHttpWritable(HttpConnection& conn) {
-  if (!conn.response_ready) return true;
-  while (conn.write_offset < conn.response.size()) {
-    const ssize_t n = ::send(conn.socket.fd(),
-                             conn.response.data() + conn.write_offset,
-                             conn.response.size() - conn.write_offset,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      return false;
-    }
-    conn.write_offset += static_cast<std::size_t>(n);
-  }
-  return false;  // Fully sent; Connection: close semantics.
-}
-
-std::string ExplainServer::BuildMetricsHttpResponse(
-    const std::string& request_text) {
-  const std::size_t line_end = request_text.find("\r\n");
-  const std::string request_line = request_text.substr(
-      0, line_end == std::string::npos ? request_text.size() : line_end);
-  std::string status = "404 Not Found";
-  std::string content_type = "text/plain; charset=utf-8";
-  std::string body = "not found\n";
-  if (request_line.rfind("GET /metrics", 0) == 0) {
-#ifndef SUBEX_OBS_DISABLED
-    uptime_gauge_->Set(static_cast<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::seconds>(Clock::now() -
-                                                         started_at_)
-            .count()));
-    status = "200 OK";
-    content_type = "text/plain; version=0.0.4; charset=utf-8";
-    body = RenderPrometheusText(MetricsRegistry::Global());
-#else
-    status = "503 Service Unavailable";
-    body = "observability compiled out (SUBEX_OBS_DISABLED)\n";
-#endif
-  } else if (!request_line.empty() && request_line.rfind("GET ", 0) != 0) {
-    status = "405 Method Not Allowed";
-    body = "only GET is supported\n";
-  }
-  std::string response = "HTTP/1.1 " + status + "\r\n";
-  response += "Content-Type: " + content_type + "\r\n";
-  response += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  response += "Connection: close\r\n\r\n";
-  response += body;
-  return response;
 }
 
 void ExplainServer::AcceptNewConnections() {
@@ -721,6 +582,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   trace->Record("serve.queue_wait", admitted_ns, queue_wait_ns);
 #endif
 
+  // DispatchFrame admitted only IsRequestType types, all of which route.
+  const RequestRoute& route = routes_[static_cast<std::size_t>(header.type)];
   WireReader reader(payload.data() + EncodedHeaderBytes(header),
                     payload.size() - EncodedHeaderBytes(header));
   std::vector<std::uint8_t> response;
@@ -730,7 +593,7 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     // explainer pipelines) see this trace via CurrentTrace().
     TraceContext context(trace);
 #endif
-    response = ComputeResponse(header, reader);
+    response = (this->*route.handler)(header.request_id, reader);
   } catch (const std::exception& e) {
     response = EncodeError(header.request_id,
                            std::string("handler exception: ") + e.what());
@@ -745,31 +608,7 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   }
   const std::uint64_t end_to_end_ns = NsSince(admitted);
   request_histogram_->Record(end_to_end_ns);
-  switch (header.type) {
-    case MessageType::kScore:
-      score_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kExplain:
-      explain_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kStats:
-      stats_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kIngest:
-      ingest_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kOnlineScore:
-      online_score_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kOnlineExplain:
-      online_explain_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kProfDump:
-      prof_request_histogram_->Record(end_to_end_ns);
-      break;
-    default:
-      break;
-  }
+  route.histogram->Record(end_to_end_ns);
 
 #ifndef SUBEX_OBS_DISABLED
   // Finish the trace BEFORE the response is enqueued: once the client can
@@ -779,31 +618,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   const std::uint64_t trace_id = trace->trace_id();
   trace->CloseSpan(root, end_to_end_ns);
   if (slow_capture_ != nullptr && slow_capture_->WouldCapture(end_to_end_ns)) {
-    const char* label = "other";
-    switch (header.type) {
-      case MessageType::kScore:
-        label = "score";
-        break;
-      case MessageType::kExplain:
-        label = "explain";
-        break;
-      case MessageType::kStats:
-        label = "stats";
-        break;
-      case MessageType::kIngest:
-        label = "ingest";
-        break;
-      case MessageType::kOnlineScore:
-        label = "online_score";
-        break;
-      case MessageType::kOnlineExplain:
-        label = "online_explain";
-        break;
-      default:
-        break;
-    }
-    slow_capture_->Capture(label, header.request_id, trace_id, end_to_end_ns,
-                           trace->ToJson());
+    slow_capture_->Capture(route.label, header.request_id, trace_id,
+                           end_to_end_ns, trace->ToJson());
   }
   trace->Clear();
   {
@@ -820,30 +636,6 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   Wake();
 }
 
-std::vector<std::uint8_t> ExplainServer::ComputeResponse(
-    const MessageHeader& header, WireReader& reader) {
-  switch (header.type) {
-    case MessageType::kScore:
-      return HandleScore(header.request_id, reader);
-    case MessageType::kExplain:
-      return HandleExplain(header.request_id, reader);
-    case MessageType::kStats:
-      return HandleStats(header.request_id);
-    case MessageType::kTraceDump:
-      return HandleTraceDump(header.request_id, reader);
-    case MessageType::kIngest:
-      return HandleIngest(header.request_id, reader);
-    case MessageType::kOnlineScore:
-      return HandleOnlineScore(header.request_id, reader);
-    case MessageType::kOnlineExplain:
-      return HandleOnlineExplain(header.request_id, reader);
-    case MessageType::kProfDump:
-      return HandleProfDump(header.request_id, reader);
-    default:
-      return EncodeError(header.request_id, "unsupported request type");
-  }
-}
-
 namespace {
 
 /// Features must address columns of the service's dataset; an out-of-range
@@ -853,6 +645,34 @@ bool SubspaceInRange(const Subspace& subspace, std::size_t num_features) {
     if (f < 0 || static_cast<std::size_t>(f) >= num_features) return false;
   }
   return true;
+}
+
+/// Shared core of `kExplain` and `kOnlineExplain`: range-checks `point`
+/// and `target_dim` against `data`, runs the search under an
+/// `explain.search` span (it joins the request's trace via CurrentTrace(),
+/// and the detector's scoring spans nest underneath), then truncates the
+/// ranking to `max_results` (0 keeps all). Returns the error message of a
+/// failed check, nullptr on success.
+const char* RunExplain(const PointExplainer& explainer, const Dataset& data,
+                       const Detector& detector, int point, int target_dim,
+                       std::uint32_t max_results, Histogram* search_histogram,
+                       RankedSubspaces* ranking) {
+  if (point < 0 || static_cast<std::size_t>(point) >= data.num_points()) {
+    return "point index out of range";
+  }
+  if (target_dim < 2 ||
+      static_cast<std::size_t>(target_dim) > data.num_features()) {
+    return "target_dim out of range";
+  }
+  {
+    TraceSpan search(search_histogram, nullptr, "explain.search");
+    *ranking = explainer.Explain(data, detector, point, target_dim);
+  }
+  if (max_results > 0 && ranking->size() > max_results) {
+    ranking->subspaces.resize(max_results);
+    ranking->scores.resize(max_results);
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -892,43 +712,35 @@ std::vector<std::uint8_t> ExplainServer::HandleExplain(std::uint64_t request_id,
     return EncodeError(request_id, "unknown explainer: " + request.explainer);
   }
   ScoringService& service = *service_it->second;
-  const Dataset& data = service.data();
-  if (request.point < 0 ||
-      static_cast<std::size_t>(request.point) >= data.num_points()) {
-    return EncodeError(request_id, "point index out of range");
-  }
-  if (request.target_dim < 2 ||
-      static_cast<std::size_t>(request.target_dim) > data.num_features()) {
-    return EncodeError(request_id, "target_dim out of range");
-  }
   // Scoring routes through the service, so concurrent explanations share
   // the cache and single-flight deduplication.
-  CachingDetector cached(service);
+  const CachingDetector cached(service);
   ExplainResult result;
-  {
-    // Attaches to the request's trace via CurrentTrace(); detect.score
-    // spans from the service nest underneath.
-    TraceSpan search(explain_search_histogram_, nullptr, "explain.search");
-    result.ranking = explainer_it->second->Explain(data, cached, request.point,
-                                                   request.target_dim);
-  }
-  if (request.max_results > 0 && result.ranking.size() > request.max_results) {
-    result.ranking.subspaces.resize(request.max_results);
-    result.ranking.scores.resize(request.max_results);
+  if (const char* bad = RunExplain(
+          *explainer_it->second, service.data(), cached, request.point,
+          request.target_dim, request.max_results, explain_search_histogram_,
+          &result.ranking)) {
+    return EncodeError(request_id, bad);
   }
   return EncodeExplainResult(request_id, result);
 }
 
-std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id) {
-  JsonObject services;
-  for (const auto& [name, service] : services_) {
-    services.AddRaw(name, service->stats().ToJson());
-  }
+std::uint64_t ExplainServer::RefreshUptimeGauge() {
   const std::uint64_t uptime_seconds = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(Clock::now() -
                                                        started_at_)
           .count());
   uptime_gauge_->Set(static_cast<std::int64_t>(uptime_seconds));
+  return uptime_seconds;
+}
+
+std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id,
+                                                     WireReader&) {
+  JsonObject services;
+  for (const auto& [name, service] : services_) {
+    services.AddRaw(name, service->stats().ToJson());
+  }
+  const std::uint64_t uptime_seconds = RefreshUptimeGauge();
 #ifndef SUBEX_OBS_DISABLED
   const std::string events_json = EventLog::Global().ToJson();
   const std::string slow_json =
@@ -1113,25 +925,13 @@ std::vector<std::uint8_t> ExplainServer::HandleOnlineExplain(
         request_id,
         OnlineDataset::StatusMessage(OnlineDataset::Status::kWindowTooSmall));
   }
-  const Dataset& data = *snapshot.data;
-  if (request.point < 0 ||
-      static_cast<std::size_t>(request.point) >= data.num_points()) {
-    return EncodeError(request_id, "point index out of range");
-  }
-  if (request.target_dim < 2 ||
-      static_cast<std::size_t>(request.target_dim) > data.num_features()) {
-    return EncodeError(request_id, "target_dim out of range");
-  }
   const PinnedEpochDetector pinned(dataset, snapshot, request.detector);
   OnlineExplainResult result;
-  {
-    TraceSpan search(explain_search_histogram_, nullptr, "explain.search");
-    result.ranking = explainer_it->second->Explain(data, pinned, request.point,
-                                                   request.target_dim);
-  }
-  if (request.max_results > 0 && result.ranking.size() > request.max_results) {
-    result.ranking.subspaces.resize(request.max_results);
-    result.ranking.scores.resize(request.max_results);
+  if (const char* bad = RunExplain(
+          *explainer_it->second, *snapshot.data, pinned, request.point,
+          request.target_dim, request.max_results, explain_search_histogram_,
+          &result.ranking)) {
+    return EncodeError(request_id, bad);
   }
   result.computed_epoch = snapshot.epoch;
   result.current_epoch = dataset.epoch();

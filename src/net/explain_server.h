@@ -1,6 +1,7 @@
 #ifndef SUBEX_NET_EXPLAIN_SERVER_H_
 #define SUBEX_NET_EXPLAIN_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "explain/point_explainer.h"
 #include "net/frame.h"
+#include "net/metrics_http.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/event_log.h"
@@ -82,7 +84,8 @@ struct ExplainServerOptions {
   std::size_t slow_request_capacity = 32;
   /// Port of the optional plain-HTTP listener serving `GET /metrics` in
   /// Prometheus text format (same bind host). -1 disables it, 0 asks for
-  /// an ephemeral port (read `metrics_port()` after `Start`).
+  /// an ephemeral port (read `metrics_port()` after `Start`). Under
+  /// SUBEX_OBS_DISABLED any port makes `Start` fail.
   int metrics_port = -1;
 };
 
@@ -144,7 +147,7 @@ class ExplainServer {
   std::uint16_t port() const { return port_; }
 
   /// The bound HTTP metrics port (valid after `Start` when enabled).
-  std::uint16_t metrics_port() const { return metrics_port_; }
+  std::uint16_t metrics_port() const { return metrics_http_.port(); }
 
   ServerStatsSnapshot stats() const;
 
@@ -152,17 +155,19 @@ class ExplainServer {
 
  private:
   struct Connection;
-  struct HttpConnection;
+  using Handler = std::vector<std::uint8_t> (ExplainServer::*)(
+      std::uint64_t request_id, WireReader& reader);
+  /// What the server knows per request type.
+  struct RequestRoute {
+    /// Names the `serve.request.<label>` histogram and labels the type's
+    /// slow-request captures.
+    const char* label = nullptr;
+    Histogram* histogram = nullptr;
+    Handler handler = nullptr;
+  };
 
   void Loop();
   void AcceptNewConnections();
-  void AcceptMetricsConnections();
-  /// Reads an HTTP request; builds the response once the header is
-  /// complete. Returns false when the connection should be closed.
-  bool HandleHttpReadable(HttpConnection& conn);
-  /// Flushes the HTTP response. Returns false when done or on error.
-  bool HandleHttpWritable(HttpConnection& conn);
-  std::string BuildMetricsHttpResponse(const std::string& request_text);
   /// Reads, frames and dispatches one ready connection. Returns false when
   /// the connection should be closed.
   bool HandleReadable(const std::shared_ptr<Connection>& conn);
@@ -179,13 +184,14 @@ class ExplainServer {
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      MessageHeader header, std::vector<std::uint8_t> payload,
                      std::chrono::steady_clock::time_point admitted);
-  std::vector<std::uint8_t> ComputeResponse(const MessageHeader& header,
-                                            WireReader& reader);
   std::vector<std::uint8_t> HandleScore(std::uint64_t request_id,
                                         WireReader& reader);
   std::vector<std::uint8_t> HandleExplain(std::uint64_t request_id,
                                           WireReader& reader);
-  std::vector<std::uint8_t> HandleStats(std::uint64_t request_id);
+  std::vector<std::uint8_t> HandleStats(std::uint64_t request_id,
+                                        WireReader& reader);
+  /// Sets `server.uptime_seconds` from `started_at_`; returns the value.
+  std::uint64_t RefreshUptimeGauge();
   std::vector<std::uint8_t> HandleTraceDump(std::uint64_t request_id,
                                             WireReader& reader);
   std::vector<std::uint8_t> HandleIngest(std::uint64_t request_id,
@@ -213,11 +219,9 @@ class ExplainServer {
   std::unordered_map<std::string, OnlineDataset*> online_;
 
   Socket listener_;
-  Socket metrics_listener_;
   Socket wake_read_;
   Socket wake_write_;
   std::uint16_t port_ = 0;
-  std::uint16_t metrics_port_ = 0;
   std::thread loop_thread_;
   std::mutex lifecycle_mutex_;  // Serializes Start/Stop.
   std::atomic<bool> running_{false};
@@ -231,13 +235,9 @@ class ExplainServer {
   Histogram* request_histogram_;     ///< serve.request (admit -> enqueued).
   Histogram* queue_wait_histogram_;  ///< serve.queue_wait (admit -> start).
   Histogram* write_histogram_;       ///< net.write (one flush pass).
-  Histogram* score_request_histogram_;    ///< serve.request.score.
-  Histogram* explain_request_histogram_;  ///< serve.request.explain.
-  Histogram* stats_request_histogram_;    ///< serve.request.stats.
-  Histogram* ingest_request_histogram_;   ///< serve.request.ingest.
-  Histogram* online_score_request_histogram_;    ///< serve.request.online_score.
-  Histogram* online_explain_request_histogram_;  ///< serve.request.online_explain.
-  Histogram* prof_request_histogram_;  ///< serve.request.prof.
+  /// Indexed by request `MessageType` value (`IsRequestType` types only).
+  std::array<RequestRoute, static_cast<std::size_t>(MessageType::kProfDump) + 1>
+      routes_;
   Histogram* explain_search_histogram_;   ///< explain.search (handler side).
   Counter* bytes_received_;          ///< net.bytes_received.
   Counter* bytes_sent_;              ///< net.bytes_sent.
@@ -248,6 +248,10 @@ class ExplainServer {
 
   /// Set at `Start`; feeds the uptime gauge at stats/metrics render time.
   std::chrono::steady_clock::time_point started_at_{};
+
+  /// `GET /metrics`, started when `metrics_port >= 0`. Declared after the
+  /// uptime members its render callback reads.
+  MetricsHttpServer metrics_http_;
 
   /// Created at `Start` when `slow_request_threshold_ms > 0`.
   std::unique_ptr<SlowRequestCapture> slow_capture_;
@@ -266,10 +270,6 @@ class ExplainServer {
   /// Live connections, keyed by fd. Owned by the loop thread; handlers
   /// hold their own shared_ptr and never touch this map.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-
-  /// Live HTTP metrics connections. Loop-thread only — the tiny `/metrics`
-  /// exchanges are handled inline, never on the pool.
-  std::unordered_map<int, std::unique_ptr<HttpConnection>> http_connections_;
 };
 
 }  // namespace subex

@@ -23,6 +23,29 @@ WireWriter BeginMessage(MessageType type, std::uint64_t request_id,
   return writer;
 }
 
+/// Body shared by `kExplainResult` and `kOnlineExplainResult`: u32 count,
+/// then (subspace, f64 score) pairs best first.
+void EncodeRanking(WireWriter& writer, const RankedSubspaces& ranking) {
+  writer.PutU32(static_cast<std::uint32_t>(ranking.size()));
+  for (std::size_t i = 0; i < ranking.size(); ++i) {
+    EncodeSubspace(writer, ranking.subspaces[i]);
+    writer.PutDouble(ranking.scores[i]);
+  }
+}
+
+bool DecodeRanking(WireReader& reader, RankedSubspaces* out) {
+  const std::uint32_t count = reader.GetU32();
+  *out = RankedSubspaces{};
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Subspace subspace;
+    if (!DecodeSubspace(reader, &subspace)) return false;
+    const double score = reader.GetDouble();
+    if (!reader.ok()) return false;
+    out->Add(std::move(subspace), score);
+  }
+  return true;
+}
+
 }  // namespace
 
 bool IsRequestType(MessageType type) {
@@ -141,12 +164,7 @@ std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
 std::vector<std::uint8_t> EncodeExplainResult(std::uint64_t request_id,
                                               const ExplainResult& result) {
   WireWriter writer = BeginMessage(MessageType::kExplainResult, request_id);
-  const RankedSubspaces& ranking = result.ranking;
-  writer.PutU32(static_cast<std::uint32_t>(ranking.size()));
-  for (std::size_t i = 0; i < ranking.size(); ++i) {
-    EncodeSubspace(writer, ranking.subspaces[i]);
-    writer.PutDouble(ranking.scores[i]);
-  }
+  EncodeRanking(writer, result.ranking);
   return writer.Take();
 }
 
@@ -209,12 +227,7 @@ std::vector<std::uint8_t> EncodeOnlineExplainResult(
       BeginMessage(MessageType::kOnlineExplainResult, request_id);
   writer.PutU64(result.computed_epoch);
   writer.PutU64(result.current_epoch);
-  const RankedSubspaces& ranking = result.ranking;
-  writer.PutU32(static_cast<std::uint32_t>(ranking.size()));
-  for (std::size_t i = 0; i < ranking.size(); ++i) {
-    EncodeSubspace(writer, ranking.subspaces[i]);
-    writer.PutDouble(ranking.scores[i]);
-  }
+  EncodeRanking(writer, result.ranking);
   return writer.Take();
 }
 
@@ -300,16 +313,7 @@ bool DecodeScoreResult(WireReader& reader, ScoreResult* out) {
 }
 
 bool DecodeExplainResult(WireReader& reader, ExplainResult* out) {
-  const std::uint32_t count = reader.GetU32();
-  out->ranking = RankedSubspaces{};
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Subspace subspace;
-    if (!DecodeSubspace(reader, &subspace)) return false;
-    const double score = reader.GetDouble();
-    if (!reader.ok()) return false;
-    out->ranking.Add(std::move(subspace), score);
-  }
-  return reader.AtEnd();
+  return DecodeRanking(reader, &out->ranking) && reader.AtEnd();
 }
 
 bool DecodeIngestResult(WireReader& reader, IngestResult* out) {
@@ -330,16 +334,7 @@ bool DecodeOnlineScoreResult(WireReader& reader, OnlineScoreResult* out) {
 bool DecodeOnlineExplainResult(WireReader& reader, OnlineExplainResult* out) {
   out->computed_epoch = reader.GetU64();
   out->current_epoch = reader.GetU64();
-  const std::uint32_t count = reader.GetU32();
-  out->ranking = RankedSubspaces{};
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Subspace subspace;
-    if (!DecodeSubspace(reader, &subspace)) return false;
-    const double score = reader.GetDouble();
-    if (!reader.ok()) return false;
-    out->ranking.Add(std::move(subspace), score);
-  }
-  return reader.AtEnd();
+  return DecodeRanking(reader, &out->ranking) && reader.AtEnd();
 }
 
 bool DecodeProfDumpRequest(WireReader& reader, ProfDumpRequest* out) {

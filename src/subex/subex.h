@@ -60,11 +60,11 @@
 #include "net/explain_client.h"
 #include "net/explain_server.h"
 #include "net/frame.h"
+#include "net/metrics_http.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "obs/metrics_http.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "online/drift_monitor.h"

@@ -1,18 +1,12 @@
 // Tests for the src/prof profiling layer: hardware-counter groups and
 // spans (graceful when perf_event_open is denied, as in most CI
-// containers), the SIGPROF sampling profiler, and the standalone
-// GET /metrics listener bench binaries use.
+// containers) and the SIGPROF sampling profiler.
 //
 // The ProfDegradation suite only runs when CI sets SUBEX_PROF_NO_PERF=1 /
 // SUBEX_PROF_NO_TIMER=1 — the env overrides are latched at first probe, so
 // forcing them from inside an already-probed process would be a lie.
 
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -21,7 +15,6 @@
 
 #include "obs/prometheus.h"
 #include "obs/registry.h"
-#include "obs/metrics_http.h"
 #include "prof/perf_counters.h"
 #include "prof/sampling_profiler.h"
 
@@ -169,58 +162,6 @@ TEST(SamplingProfilerTest, StopWithoutStartIsSafe) {
   profiler.UnregisterCurrentThread();
 }
 
-namespace {
-
-/// One blocking HTTP GET against 127.0.0.1:`port`, returning the raw
-/// response text ("" on connect failure).
-std::string HttpGet(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  ::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buf[4096];
-  ssize_t got;
-  while ((got = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(got));
-  }
-  ::close(fd);
-  return response;
-}
-
-}  // namespace
-
-TEST(MetricsHttpServerTest, ServesPrometheusTextAndCountsScrapes) {
-  RegisterProfProcessMetrics();  // Guarantees at least the prof gauges.
-  MetricsHttpServer server;
-  std::string error;
-  ASSERT_TRUE(server.Start(0, &error)) << error;
-  ASSERT_NE(server.port(), 0);
-  EXPECT_TRUE(server.running());
-
-  const std::string metrics = HttpGet(server.port(), "/metrics");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("subex_prof_perf_available"), std::string::npos);
-
-  const std::string missing = HttpGet(server.port(), "/nope");
-  EXPECT_NE(missing.find("404"), std::string::npos) << missing;
-
-  // requests() counts served scrapes only, not 404s.
-  EXPECT_EQ(server.requests(), 1u);
-  server.Stop();
-  EXPECT_FALSE(server.running());
-  server.Stop();  // Idempotent.
-}
-
 // --- Deterministic denial assertions (run by CI with the env set) -------
 
 TEST(ProfDegradation, PerfForcedOffByEnvironment) {
@@ -273,11 +214,6 @@ TEST(ProfDisabledTest, StubsAreInertNoOps) {
   EXPECT_EQ(error, "observability compiled out");
   EXPECT_EQ(profiler.samples(), 0u);
   EXPECT_TRUE(profiler.ToCollapsedText().empty());
-
-  MetricsHttpServer server;
-  EXPECT_FALSE(server.Start(0, &error));
-  EXPECT_FALSE(server.running());
-  server.Stop();
 }
 
 #endif  // SUBEX_OBS_DISABLED
