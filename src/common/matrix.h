@@ -92,12 +92,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Squared Euclidean distance between rows `a` and `b` of `m`, restricted to
-/// the feature ids in `features`. This is the innermost loop of every
-/// distance-based detector, hence it lives here and stays branch-free.
-double SquaredDistance(const Matrix& m, std::size_t a, std::size_t b,
-                       std::span<const int> features);
-
 }  // namespace subex
 
 #endif  // SUBEX_COMMON_MATRIX_H_

@@ -57,10 +57,16 @@ const std::vector<int>& Dataset::SortedIndexByFeature(FeatureId f) const {
   return cached;
 }
 
-Subspace Dataset::FullSpace() const {
-  std::vector<FeatureId> all(data_.cols());
-  std::iota(all.begin(), all.end(), 0);
-  return Subspace(std::move(all));
+std::vector<double> Dataset::GatherColumns(
+    std::span<const FeatureId> features) const {
+  const std::size_t n = num_points();
+  std::vector<double> columns(features.size() * n);
+  for (std::size_t j = 0; j < features.size(); ++j) {
+    for (std::size_t p = 0; p < n; ++p) {
+      columns[j * n + p] = data_(p, features[j]);
+    }
+  }
+  return columns;
 }
 
 void Dataset::NormalizeMinMax() {

@@ -2,6 +2,7 @@
 #define SUBEX_DATA_DATASET_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,11 @@ class Dataset {
   /// the dataset (the cache is append-only behind a shared_ptr).
   const std::vector<int>& SortedIndexByFeature(FeatureId f) const;
 
-  /// Subspace containing every feature of the dataset.
-  Subspace FullSpace() const;
+  /// Column-major copy of `features`: the value of point `p` in feature
+  /// `features[j]` sits at `[j * num_points() + p]`. The detector kernels
+  /// scan one subspace feature at a time over all points, so they work on
+  /// this block instead of striding through the row-major matrix.
+  std::vector<double> GatherColumns(std::span<const FeatureId> features) const;
 
   /// Rescales every feature to [0, 1] in place (constant features map to 0).
   /// Invalidates nothing: callers should normalize before the first use of

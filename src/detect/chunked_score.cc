@@ -1,139 +1,85 @@
 #include "detect/chunked_score.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "detect/knn.h"
+#include "detect/lof.h"
 
 namespace subex {
 namespace {
 
-/// Resolves a subspace to an explicit feature list (empty = every feature),
-/// mirroring what every in-RAM detector does.
-std::vector<FeatureId> ResolveFeatures(const ChunkedDataset& data,
-                                       const Subspace& subspace) {
-  if (!subspace.empty()) {
-    return {subspace.AsSpan().begin(), subspace.AsSpan().end()};
-  }
-  std::vector<FeatureId> full(data.num_cols());
-  std::iota(full.begin(), full.end(), 0);
-  return full;
-}
-
-/// The exact comparator `ComputeKnn` hands to partial_sort. Indices are
-/// unique, so this is a total order: the k smallest candidates — and their
-/// sorted order — are independent of arrival order, which is what lets a
-/// streaming heap reproduce partial_sort's output bit for bit.
-bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
-}
-
 /// Gathers the subspace feature values of `rows` (any order) into a
-/// row-major `rows.size() x features.size()` buffer, pinning each touched
-/// chunk once per (feature, block).
+/// column-major `features.size() x rows.size()` buffer. Consecutive rows of
+/// one block share a pin, so sorted rows pin each touched chunk once per
+/// feature.
 std::vector<double> GatherRows(ChunkedDataset& data,
                                std::span<const FeatureId> features,
                                std::span<const int> rows) {
-  std::vector<double> values(rows.size() * features.size());
-  for (std::size_t block = 0; block < data.num_blocks(); ++block) {
-    const std::size_t lo = block * data.rows_per_chunk();
-    const std::size_t hi = lo + data.RowsInBlock(block);
-    // Skip blocks containing none of the requested rows.
-    bool any = false;
-    for (int r : rows) {
-      if (static_cast<std::size_t>(r) >= lo && static_cast<std::size_t>(r) < hi) {
-        any = true;
-        break;
+  std::vector<double> values(features.size() * rows.size());
+  for (std::size_t j = 0; j < features.size(); ++j) {
+    Pinned<ColumnChunk> chunk;
+    std::size_t block = data.num_blocks();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (data.BlockOf(rows[i]) != block) {
+        block = data.BlockOf(rows[i]);
+        chunk = data.Chunk(features[j], block);
+        SUBEX_CHECK_MSG(chunk.valid(), "chunk read failed");
       }
-    }
-    if (!any) continue;
-    for (std::size_t j = 0; j < features.size(); ++j) {
-      Pinned<ColumnChunk> chunk = data.Chunk(features[j], block);
-      SUBEX_CHECK_MSG(chunk.valid(), "chunk read failed");
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::size_t r = static_cast<std::size_t>(rows[i]);
-        if (r >= lo && r < hi) values[i * features.size() + j] = (*chunk)[r - lo];
-      }
+      values[j * rows.size() + i] = (*chunk)[data.LocalRow(rows[i])];
     }
   }
   return values;
 }
 
-/// Streaming batched brute-force kNN: one pass over the dataset's chunks
-/// computes, for every query row, the same k-nearest list `ComputeKnn`
-/// produces (sqrt'ed distances, (distance, index) tie-break, k clamped to
-/// n-1). Memory: |features| pinned chunks + O(|queries| * k) heap state.
+/// Calls `fn(first_row, rows, columns)` once per row block, in order, with
+/// `columns[j]` pointing at the block's pinned chunk of `features[j]`.
+template <typename Fn>
+void ForEachBlock(ChunkedDataset& data, std::span<const FeatureId> features,
+                  Fn&& fn) {
+  std::vector<Pinned<ColumnChunk>> chunks(features.size());
+  std::vector<const double*> columns(features.size());
+  for (std::size_t block = 0; block < data.num_blocks(); ++block) {
+    for (std::size_t j = 0; j < features.size(); ++j) {
+      chunks[j] = data.Chunk(features[j], block);
+      SUBEX_CHECK_MSG(chunks[j].valid(), "chunk read failed");
+      columns[j] = chunks[j]->data();
+    }
+    fn(block * data.rows_per_chunk(), data.RowsInBlock(block),
+       std::span<const double* const>(columns));
+    for (auto& chunk : chunks) chunk.Release();
+  }
+}
+
+/// Streaming batched brute-force kNN: the `KnnSearch` kernel of
+/// `ComputeKnn`, fed one block of pinned chunks at a time, so every query
+/// gets the exact list `ComputeKnn` produces. Memory: |features| pinned
+/// chunks + O(|queries| * k) heap state.
 std::vector<std::vector<Neighbor>> ComputeKnnChunked(
     ChunkedDataset& data, std::span<const FeatureId> features, int k,
     std::span<const int> queries) {
-  const std::size_t n = data.num_rows();
-  SUBEX_CHECK_MSG(n >= 2, "kNN needs at least two points");
-  SUBEX_CHECK(k >= 1);
-  k = std::min(k, static_cast<int>(n) - 1);
-
-  const std::size_t num_features = features.size();
-  const std::vector<double> qvals = GatherRows(data, features, queries);
-
-  // One max-heap of the k best candidates per query (top = worst kept).
-  auto heap_cmp = NeighborLess;
-  std::vector<std::vector<Neighbor>> heaps(queries.size());
-  for (auto& h : heaps) h.reserve(k + 1);
-
-  std::vector<Pinned<ColumnChunk>> chunks(num_features);
-  for (std::size_t block = 0; block < data.num_blocks(); ++block) {
-    for (std::size_t j = 0; j < num_features; ++j) {
-      chunks[j] = data.Chunk(features[j], block);
-      SUBEX_CHECK_MSG(chunks[j].valid(), "chunk read failed");
-    }
-    const std::size_t rows = data.RowsInBlock(block);
-    const std::size_t base = block * data.rows_per_chunk();
-    for (std::size_t r = 0; r < rows; ++r) {
-      const int g = static_cast<int>(base + r);
-      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        if (g == queries[qi]) continue;
-        const double* qv = qvals.data() + qi * num_features;
-        // Identical accumulation order to `SquaredDistance`: one add per
-        // feature, in subspace order.
-        double sum = 0.0;
-        for (std::size_t j = 0; j < num_features; ++j) {
-          const double d = qv[j] - (*chunks[j])[r];
-          sum += d * d;
-        }
-        std::vector<Neighbor>& heap = heaps[qi];
-        const Neighbor cand{sum, g};
-        if (static_cast<int>(heap.size()) < k) {
-          heap.push_back(cand);
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        } else if (NeighborLess(cand, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-          heap.back() = cand;
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
-      }
-    }
-    for (auto& chunk : chunks) chunk.Release();
-  }
-
-  for (auto& heap : heaps) {
-    std::sort(heap.begin(), heap.end(), heap_cmp);
-    for (Neighbor& nb : heap) nb.distance = std::sqrt(nb.distance);
-  }
-  return heaps;
+  const std::vector<double> query_values = GatherRows(data, features, queries);
+  KnnSearch search(k, data.num_rows(), queries, query_values);
+  ForEachBlock(data, features,
+               [&search](std::size_t first, std::size_t rows,
+                         std::span<const double* const> columns) {
+                 search.AddBlock(columns, static_cast<int>(first),
+                                 static_cast<int>(rows));
+               });
+  return std::move(search).Finish();
 }
 
-/// All point ids, for the empty-queries = "score everything" convention.
-std::vector<int> AllRows(const ChunkedDataset& data) {
-  std::vector<int> rows(data.num_rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  return rows;
+/// The query ids to score: `queries`, or every point when it is empty.
+std::vector<int> QueryIds(const ChunkedDataset& data,
+                          std::span<const int> queries) {
+  if (!queries.empty()) return {queries.begin(), queries.end()};
+  std::vector<int> all(data.num_rows());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 }  // namespace
@@ -141,24 +87,12 @@ std::vector<int> AllRows(const ChunkedDataset& data) {
 std::vector<double> ScoreKnnDistanceChunked(
     ChunkedDataset& data, const Subspace& subspace, int k,
     KnnDistance::Aggregation aggregation, std::span<const int> queries) {
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
-  std::vector<int> all;
-  if (queries.empty()) {
-    all = AllRows(data);
-    queries = all;
-  }
-  const std::vector<std::vector<Neighbor>> knn =
-      ComputeKnnChunked(data, features, k, queries);
-
-  std::vector<double> scores(queries.size());
+  const std::vector<int> ids = QueryIds(data, queries);
+  const std::vector<std::vector<Neighbor>> knn = ComputeKnnChunked(
+      data, ResolveFeatures(subspace, data.num_cols()), k, ids);
+  std::vector<double> scores(ids.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (aggregation == KnnDistance::Aggregation::kMax) {
-      scores[i] = knn[i].back().distance;
-    } else {
-      double sum = 0.0;
-      for (const Neighbor& nb : knn[i]) sum += nb.distance;
-      scores[i] = sum / static_cast<double>(knn[i].size());
-    }
+    scores[i] = AggregateKnnDistance(knn[i], aggregation);
   }
   return scores;
 }
@@ -166,64 +100,50 @@ std::vector<double> ScoreKnnDistanceChunked(
 std::vector<double> ScoreLofChunked(ChunkedDataset& data,
                                     const Subspace& subspace, int k,
                                     std::span<const int> queries) {
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
-  std::vector<int> all;
-  if (queries.empty()) {
-    all = AllRows(data);
-    queries = all;
-  }
+  const std::vector<FeatureId> features =
+      ResolveFeatures(subspace, data.num_cols());
+  const std::vector<int> ids = QueryIds(data, queries);
 
   // Round 1: kNN lists of the queries. Rounds 2 and 3 extend to the one-
   // and two-hop neighborhoods — lrd(p) reads the k-distance of every
   // neighbor of p, and LOF(p) reads lrd of every neighbor, whose own lrd
   // reads k-distances one hop further.
   std::unordered_map<int, std::vector<Neighbor>> lists;
-  std::vector<int> frontier(queries.begin(), queries.end());
+  std::vector<int> frontier = ids;
   for (int round = 0; round < 3 && !frontier.empty(); ++round) {
     std::vector<std::vector<Neighbor>> batch =
         ComputeKnnChunked(data, features, k, frontier);
-    std::unordered_set<int> next;
     for (std::size_t i = 0; i < frontier.size(); ++i) {
-      for (const Neighbor& nb : batch[i]) {
-        if (lists.find(nb.index) == lists.end()) next.insert(nb.index);
-      }
       lists.emplace(frontier[i], std::move(batch[i]));
     }
-    frontier.clear();
-    for (int id : next) {
-      if (lists.find(id) == lists.end()) frontier.push_back(id);
+    std::set<int> next;  // Ordered: the next round's query list.
+    for (int id : frontier) {
+      for (const Neighbor& nb : lists.at(id)) {
+        if (!lists.contains(nb.index)) next.insert(nb.index);
+      }
     }
-    std::sort(frontier.begin(), frontier.end());
+    frontier.assign(next.begin(), next.end());
   }
 
-  // Same formulas, constants and iteration order as `Lof::Score`.
-  constexpr double kEpsilon = 1e-10;
-  auto k_distance = [&lists](int p) -> double {
+  // The `Lof::Score` formula over the closure, with lrd computed lazily.
+  auto list_of = [&lists](int p) -> const std::vector<Neighbor>& {
     const auto it = lists.find(p);
     SUBEX_CHECK_MSG(it != lists.end(), "kNN list missing for point");
-    return it->second.back().distance;
+    return it->second;
   };
+  auto k_distance = [&](int p) { return list_of(p).back().distance; };
   std::unordered_map<int, double> lrd;
   auto lrd_of = [&](int p) -> double {
     const auto cached = lrd.find(p);
     if (cached != lrd.end()) return cached->second;
-    const std::vector<Neighbor>& nbs = lists.at(p);
-    double sum = 0.0;
-    for (const Neighbor& nb : nbs) {
-      sum += std::max(k_distance(nb.index), nb.distance);
-    }
-    const double mean = sum / static_cast<double>(nbs.size());
-    const double value = 1.0 / std::max(mean, kEpsilon);
+    const double value = LocalReachabilityDensity(list_of(p), k_distance);
     lrd.emplace(p, value);
     return value;
   };
 
-  std::vector<double> scores(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::vector<Neighbor>& nbs = lists.at(queries[i]);
-    double sum = 0.0;
-    for (const Neighbor& nb : nbs) sum += lrd_of(nb.index);
-    scores[i] = sum / (static_cast<double>(nbs.size()) * lrd_of(queries[i]));
+  std::vector<double> scores(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    scores[i] = LocalOutlierFactor(list_of(ids[i]), lrd_of(ids[i]), lrd_of);
   }
   return scores;
 }
@@ -231,90 +151,32 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
 std::vector<double> ScoreLodaChunked(ChunkedDataset& data,
                                      const Subspace& subspace,
                                      const Loda::Options& options) {
-  const std::size_t n = data.num_rows();
-  SUBEX_CHECK(static_cast<int>(n) >= 3);
+  const int n = static_cast<int>(data.num_rows());
+  SUBEX_CHECK(n >= 3);
   SUBEX_CHECK(options.num_projections >= 1);
   SUBEX_CHECK(options.num_bins >= 0);
-
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
-  const int dim = static_cast<int>(features.size());
-  const int sparse_count =
-      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
-  const int bins =
-      options.num_bins > 0
-          ? options.num_bins
-          : std::max(4, static_cast<int>(2.0 * std::cbrt(static_cast<int>(n))));
-
-  // Identical RNG stream to `Loda::Score`: one generator, per projector the
-  // active set then the weights — the streaming passes draw nothing.
-  Rng rng(options.seed ^ SubspaceHash()(subspace));
+  const int bins = LodaBinCount(options, n);
   std::vector<double> neg_log_density_sum(n, 0.0);
-  std::vector<int> histogram(bins);
-
-  // Applies `fn(global_row, projected_value)` to every point, recomputing
-  // the sparse projection chunk by chunk. Each pass reproduces the exact
-  // accumulation order of the in-RAM projection loop, so the recomputed
-  // doubles are identical across passes.
-  std::vector<Pinned<ColumnChunk>> chunks;
-  auto for_each_projection = [&](std::span<const int> active,
-                                 std::span<const double> weights,
-                                 auto&& fn) {
-    chunks.clear();
-    chunks.resize(active.size());
-    for (std::size_t block = 0; block < data.num_blocks(); ++block) {
-      for (std::size_t j = 0; j < active.size(); ++j) {
-        chunks[j] = data.Chunk(features[active[j]], block);
-        SUBEX_CHECK_MSG(chunks[j].valid(), "chunk read failed");
-      }
-      const std::size_t rows = data.RowsInBlock(block);
-      const std::size_t base = block * data.rows_per_chunk();
-      for (std::size_t r = 0; r < rows; ++r) {
-        double v = 0.0;
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          v += weights[j] * (*chunks[j])[r];
-        }
-        fn(base + r, v);
-      }
-    }
-    chunks.clear();
-  };
-
-  for (int t = 0; t < options.num_projections; ++t) {
-    const std::vector<int> active =
-        rng.SampleWithoutReplacement(dim, sparse_count);
-    std::vector<double> weights(active.size());
-    for (double& w : weights) w = rng.Gaussian();
-
-    // Pass 1: projection range (the values, not the positions, determine
-    // the histogram, so a streaming min/max matches minmax_element).
-    double lo = 0.0;
-    double hi = 0.0;
-    bool first = true;
-    for_each_projection(active, weights, [&](std::size_t, double v) {
-      if (first) {
-        lo = hi = v;
-        first = false;
-        return;
-      }
-      if (v < lo) lo = v;
-      if (v > hi) hi = v;
-    });
-    const double width = std::max((hi - lo) / bins, 1e-12);
-
-    // Pass 2: histogram.
-    std::fill(histogram.begin(), histogram.end(), 0);
-    for_each_projection(active, weights, [&](std::size_t, double v) {
-      const int b = std::min(bins - 1, static_cast<int>((v - lo) / width));
-      ++histogram[b];
-    });
-
-    // Pass 3: Laplace-smoothed density accumulation.
-    for_each_projection(active, weights, [&](std::size_t p, double v) {
-      const int b = std::min(bins - 1, static_cast<int>((v - lo) / width));
-      const double density =
-          (histogram[b] + 1.0) / ((static_cast<int>(n) + bins) * width);
-      neg_log_density_sum[p] -= std::log(density);
-    });
+  std::vector<int> histogram;
+  for (const LodaProjector& projector :
+       DrawLodaProjectors(options, subspace, data.num_cols())) {
+    // Each pass recomputes the sparse projection block by block, in the
+    // accumulation order of `LodaProjector::Project`, so the values are
+    // the in-RAM ones on every pass.
+    auto for_each_value = [&](auto&& fn) {
+      ForEachBlock(data, projector.features,
+                   [&](std::size_t first, std::size_t rows,
+                       std::span<const double* const> columns) {
+                     for (std::size_t r = 0; r < rows; ++r) {
+                       double v = 0.0;
+                       for (std::size_t j = 0; j < columns.size(); ++j) {
+                         v += projector.weights[j] * columns[j][r];
+                       }
+                       fn(first + r, v);
+                     }
+                   });
+    };
+    AddLodaProjector(for_each_value, bins, histogram, neg_log_density_sum);
   }
   for (double& s : neg_log_density_sum) s /= options.num_projections;
   return neg_log_density_sum;

@@ -13,10 +13,11 @@ namespace subex {
 
 /// Streaming counterparts of the in-RAM detectors, reading a
 /// `ChunkedDataset` chunk by chunk so datasets far larger than RAM score
-/// under a fixed memory budget. Each scorer reproduces its in-RAM
-/// detector's floating-point semantics exactly — same accumulation order,
-/// same tie-breaks, same RNG draws — so streamed scores are bitwise equal
-/// to `Detector::Score` on the same data, which the tests assert.
+/// under a fixed memory budget. Each scorer calls its in-RAM detector's
+/// kernels (`KnnSearch`, the LOF and kNN-distance formulas, the LODA
+/// projectors and histogram), fed chunk by chunk, so streamed scores are
+/// bitwise equal to `Detector::Score` on the same data, which the tests
+/// assert.
 ///
 /// The distance-based scorers take an explicit query set because scoring
 /// all points is O(n^2): at the scale that motivates chunking, callers

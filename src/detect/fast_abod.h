@@ -1,6 +1,9 @@
 #ifndef SUBEX_DETECT_FAST_ABOD_H_
 #define SUBEX_DETECT_FAST_ABOD_H_
 
+#include <span>
+#include <vector>
+
 #include "detect/detector.h"
 
 namespace subex {
@@ -28,6 +31,17 @@ class FastAbod final : public Detector {
  private:
   int k_;
 };
+
+/// The angle-based outlier score of point `p` of `m` within `features`,
+/// from its difference vectors to the points `others`: the variance of
+/// <a, b> / (|a|^2 * |b|^2) over pairs of non-coincident vectors, mapped
+/// to -log(variance + 1e-12) so higher = more outlying. Fast ABOD passes
+/// p's k nearest neighbors, exact ABOD every other point. `diffs` and
+/// `sq_norms` are caller-owned scratch.
+double AngleBasedScore(const Matrix& m, int p,
+                       std::span<const FeatureId> features,
+                       std::span<const int> others, std::vector<double>& diffs,
+                       std::vector<double>& sq_norms);
 
 }  // namespace subex
 

@@ -104,15 +104,13 @@ std::vector<double> IsolationForest::Score(const Dataset& data,
   const int n = static_cast<int>(data.num_points());
   SUBEX_CHECK(n >= 2);
 
-  const Subspace space = subspace.empty() ? data.FullSpace() : subspace;
   const int psi = std::min(options_.subsample_size, n);
   Forest forest;
   forest.n = n;
   forest.height_limit =
       static_cast<int>(std::ceil(std::log2(static_cast<double>(psi))));
-  for (FeatureId f : space.AsSpan()) {
-    for (int p = 0; p < n; ++p) forest.columns.push_back(data.Value(p, f));
-  }
+  forest.columns =
+      data.GatherColumns(ResolveFeatures(subspace, data.num_features()));
   for (int size = 0; size <= psi; ++size) {
     forest.leaf_c.push_back(AveragePathLength(size));
   }

@@ -1,7 +1,6 @@
 #include "detect/knn_distance.h"
 
 #include "common/check.h"
-#include "detect/knn.h"
 
 namespace subex {
 
@@ -15,15 +14,19 @@ std::vector<double> KnnDistance::Score(const Dataset& data,
   const KnnTable knn = ComputeKnn(data, subspace, k_);
   std::vector<double> scores(data.num_points());
   for (std::size_t p = 0; p < scores.size(); ++p) {
-    if (aggregation_ == Aggregation::kMax) {
-      scores[p] = knn.KDistance(static_cast<int>(p));
-    } else {
-      double sum = 0.0;
-      for (const Neighbor& nb : knn.neighbors[p]) sum += nb.distance;
-      scores[p] = sum / static_cast<double>(knn.neighbors[p].size());
-    }
+    scores[p] = AggregateKnnDistance(knn.neighbors[p], aggregation_);
   }
   return scores;
+}
+
+double AggregateKnnDistance(std::span<const Neighbor> neighbors,
+                            KnnDistance::Aggregation aggregation) {
+  if (aggregation == KnnDistance::Aggregation::kMax) {
+    return neighbors.back().distance;
+  }
+  double sum = 0.0;
+  for (const Neighbor& nb : neighbors) sum += nb.distance;
+  return sum / static_cast<double>(neighbors.size());
 }
 
 }  // namespace subex

@@ -1,7 +1,10 @@
 #ifndef SUBEX_DETECT_KNN_DISTANCE_H_
 #define SUBEX_DETECT_KNN_DISTANCE_H_
 
+#include <span>
+
 #include "detect/detector.h"
+#include "detect/knn.h"
 
 namespace subex {
 
@@ -32,6 +35,12 @@ class KnnDistance final : public Detector {
   int k_;
   Aggregation aggregation_;
 };
+
+/// A point's kNN-distance score from its sorted neighbor list: the k-th
+/// distance (`kMax`) or the mean distance (`kMean`). Shared by
+/// `KnnDistance` and the chunked scorer.
+double AggregateKnnDistance(std::span<const Neighbor> neighbors,
+                            KnnDistance::Aggregation aggregation);
 
 }  // namespace subex
 

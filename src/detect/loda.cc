@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -18,63 +17,52 @@ std::vector<double> Loda::Score(const Dataset& data,
                                 const Subspace& subspace) const {
   const int n = static_cast<int>(data.num_points());
   SUBEX_CHECK(n >= 3);
-
-  std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
-  const int dim = static_cast<int>(features.size());
-  const int sparse_count =
-      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
-  const int bins =
-      options_.num_bins > 0
-          ? options_.num_bins
-          : std::max(4, static_cast<int>(2.0 * std::cbrt(n)));
-
-  Rng rng(options_.seed ^ SubspaceHash()(subspace));
+  const int bins = LodaBinCount(options_, n);
   std::vector<double> neg_log_density_sum(n, 0.0);
   std::vector<double> projected(n);
-  std::vector<int> histogram(bins);
-
-  for (int t = 0; t < options_.num_projections; ++t) {
-    // Sparse Gaussian projector over the subspace's features.
-    const std::vector<int> active =
-        rng.SampleWithoutReplacement(dim, sparse_count);
-    std::vector<double> weights(active.size());
-    for (double& w : weights) w = rng.Gaussian();
-
+  std::vector<int> histogram;
+  for (const LodaProjector& projector :
+       DrawLodaProjectors(options_, subspace, data.num_features())) {
     for (int p = 0; p < n; ++p) {
-      double v = 0.0;
-      for (std::size_t j = 0; j < active.size(); ++j) {
-        v += weights[j] * data.Value(p, features[active[j]]);
-      }
-      projected[p] = v;
+      projected[p] = projector.Project(data.matrix().Row(p));
     }
-    const auto [lo_it, hi_it] =
-        std::minmax_element(projected.begin(), projected.end());
-    const double lo = *lo_it;
-    const double width = std::max((*hi_it - lo) / bins, 1e-12);
-
-    std::fill(histogram.begin(), histogram.end(), 0);
-    for (int p = 0; p < n; ++p) {
-      const int b = std::min(
-          bins - 1, static_cast<int>((projected[p] - lo) / width));
-      ++histogram[b];
-    }
-    // Laplace-smoothed density so empty bins stay finite.
-    for (int p = 0; p < n; ++p) {
-      const int b = std::min(
-          bins - 1, static_cast<int>((projected[p] - lo) / width));
-      const double density = (histogram[b] + 1.0) /
-                             ((n + bins) * width);
-      neg_log_density_sum[p] -= std::log(density);
-    }
+    AddLodaProjector(
+        [&projected](auto&& fn) {
+          for (std::size_t p = 0; p < projected.size(); ++p) {
+            fn(p, projected[p]);
+          }
+        },
+        bins, histogram, neg_log_density_sum);
   }
   for (double& s : neg_log_density_sum) s /= options_.num_projections;
   return neg_log_density_sum;
+}
+
+std::vector<LodaProjector> DrawLodaProjectors(const Loda::Options& options,
+                                              const Subspace& subspace,
+                                              std::size_t num_features) {
+  const std::vector<FeatureId> features =
+      ResolveFeatures(subspace, num_features);
+  const int dim = static_cast<int>(features.size());
+  const int sparse_count =
+      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
+  Rng rng(options.seed ^ SubspaceHash()(subspace));
+  std::vector<LodaProjector> projectors(options.num_projections);
+  for (LodaProjector& projector : projectors) {
+    for (int active : rng.SampleWithoutReplacement(dim, sparse_count)) {
+      projector.features.push_back(features[active]);
+    }
+    for (std::size_t j = 0; j < projector.features.size(); ++j) {
+      projector.weights.push_back(rng.Gaussian());
+    }
+  }
+  return projectors;
+}
+
+int LodaBinCount(const Loda::Options& options, int n) {
+  return options.num_bins > 0
+             ? options.num_bins
+             : std::max(4, static_cast<int>(2.0 * std::cbrt(n)));
 }
 
 }  // namespace subex

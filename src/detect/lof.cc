@@ -1,9 +1,6 @@
 #include "detect/lof.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "detect/knn.h"
 
 namespace subex {
 
@@ -13,29 +10,15 @@ std::vector<double> Lof::Score(const Dataset& data,
                                const Subspace& subspace) const {
   const int n = static_cast<int>(data.num_points());
   const KnnTable knn = ComputeKnn(data, subspace, k_);
-
-  // Local reachability density:
-  //   lrd_k(p) = 1 / mean_{o in kNN(p)} max(k-dist(o), d(p, o)).
-  // Duplicate-heavy data can make the mean reachability distance zero; the
-  // epsilon keeps lrd finite and preserves ordering.
-  constexpr double kEpsilon = 1e-10;
   std::vector<double> lrd(n);
   for (int p = 0; p < n; ++p) {
-    double sum = 0.0;
-    for (const Neighbor& nb : knn.neighbors[p]) {
-      sum += std::max(knn.KDistance(nb.index), nb.distance);
-    }
-    const double mean = sum / static_cast<double>(knn.neighbors[p].size());
-    lrd[p] = 1.0 / std::max(mean, kEpsilon);
+    lrd[p] = LocalReachabilityDensity(
+        knn.neighbors[p], [&knn](int o) { return knn.KDistance(o); });
   }
-
-  // LOF_k(p) = mean_{o in kNN(p)} lrd(o) / lrd(p).
   std::vector<double> scores(n);
   for (int p = 0; p < n; ++p) {
-    double sum = 0.0;
-    for (const Neighbor& nb : knn.neighbors[p]) sum += lrd[nb.index];
-    scores[p] =
-        sum / (static_cast<double>(knn.neighbors[p].size()) * lrd[p]);
+    scores[p] = LocalOutlierFactor(knn.neighbors[p], lrd[p],
+                                   [&lrd](int o) { return lrd[o]; });
   }
   return scores;
 }

@@ -2,54 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/rng.h"
 
 namespace subex {
-
 namespace {
 
-/// Batch LODA's bin count for a window of `n` points — must stay the exact
-/// expression of `Loda::Score` for parity.
-int BinsFor(const Loda::Options& options, int n) {
-  return options.num_bins > 0
-             ? options.num_bins
-             : std::max(4, static_cast<int>(2.0 * std::cbrt(n)));
-}
-
-/// Batch LODA's histogram width — exact expression of `Loda::Score`.
-double WidthFor(double lo, double hi, int bins) {
-  return std::max((hi - lo) / bins, 1e-12);
-}
-
-/// Batch LODA's bin index — exact expression of `Loda::Score`.
-int BinFor(double v, double lo, double width, int bins) {
-  return std::min(bins - 1, static_cast<int>((v - lo) / width));
+/// Widens [lo, hi] to cover projector `t`'s value in the rows
+/// [begin, end).
+template <typename RowIt>
+void WidenRange(RowIt begin, RowIt end, std::size_t t, double& lo,
+                double& hi) {
+  for (; begin != end; ++begin) {
+    lo = std::min(lo, (*begin)[t]);
+    hi = std::max(hi, (*begin)[t]);
+  }
 }
 
 }  // namespace
 
 struct IncrementalLodaScorer::SubspaceState {
   Subspace subspace;
-  /// One sparse projector, stored as the batch path iterates it: entry `j`
-  /// contributes `weights[j] * row[features[j]]`, in `j` order, so the
-  /// incremental dot product is the bitwise batch value.
+  /// One batch projector plus its histogram over the window.
   struct Projector {
-    std::vector<FeatureId> features;
-    std::vector<double> weights;
+    LodaProjector draw;
     double lo = 0.0;
     double hi = 0.0;
     std::vector<int> histogram;
   };
   std::vector<Projector> projectors;
+
   /// Projected values of every window row (oldest first): one value per
   /// projector, computed once at point entry.
   std::deque<std::vector<double>> projected;
   int bins = 0;
   std::uint64_t last_touch = 0;
+
+  /// Every projector's value for one row, in projector order.
+  std::vector<double> Project(std::span<const double> row) const {
+    std::vector<double> vals;
+    vals.reserve(projectors.size());
+    for (const auto& proj : projectors) vals.push_back(proj.draw.Project(row));
+    return vals;
+  }
 };
 
 IncrementalLodaScorer::IncrementalLodaScorer(const Loda::Options& options,
@@ -78,51 +74,22 @@ IncrementalLodaScorer::SubspaceState& IncrementalLodaScorer::StateFor(
     states_.erase(lru);
   }
 
-  // Draw the projectors from the identical Rng call sequence as
-  // `Loda::Score` (seed xor subspace hash; per projector: feature sample,
-  // then Gaussian weights) so the projector set is bitwise the batch one.
+  // The batch detector's projectors, so every projected value is the
+  // bitwise batch one.
   auto state = std::make_unique<SubspaceState>();
   state->subspace = subspace;
-  std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(window.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
+  for (LodaProjector& draw :
+       DrawLodaProjectors(options_, subspace, window.num_features())) {
+    state->projectors.emplace_back().draw = std::move(draw);
   }
-  const int dim = static_cast<int>(features.size());
-  const int sparse_count =
-      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
-  Rng rng(options_.seed ^ SubspaceHash()(subspace));
-  state->projectors.resize(
-      static_cast<std::size_t>(options_.num_projections));
-  for (auto& proj : state->projectors) {
-    const std::vector<int> active =
-        rng.SampleWithoutReplacement(dim, sparse_count);
-    proj.features.resize(active.size());
-    proj.weights.resize(active.size());
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      proj.features[j] = features[active[static_cast<std::size_t>(j)]];
-    }
-    for (double& w : proj.weights) w = rng.Gaussian();
+  for (std::size_t p = 0; p < window.num_points(); ++p) {
+    state->projected.push_back(state->Project(window.matrix().Row(p)));
   }
-
-  const std::size_t n = window.num_points();
-  const std::size_t num_proj = state->projectors.size();
-  for (std::size_t p = 0; p < n; ++p) {
-    std::vector<double> vals(num_proj);
-    for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state->projectors[t];
-      double v = 0.0;
-      for (std::size_t j = 0; j < proj.weights.size(); ++j) {
-        v += proj.weights[j] * window.Value(p, proj.features[j]);
-      }
-      vals[t] = v;
-    }
-    state->projected.push_back(std::move(vals));
+  state->bins =
+      LodaBinCount(options_, static_cast<int>(window.num_points()));
+  for (std::size_t t = 0; t < state->projectors.size(); ++t) {
+    RebuildProjector(*state, t);
   }
-  state->bins = BinsFor(options_, static_cast<int>(n));
-  for (std::size_t t = 0; t < num_proj; ++t) RebuildProjector(*state, t);
 
   state->last_touch = ++touch_clock_;
   states_.push_back(std::move(state));
@@ -133,41 +100,23 @@ void IncrementalLodaScorer::RebuildProjector(SubspaceState& state,
                                              std::size_t t) {
   auto& proj = state.projectors[t];
   SUBEX_CHECK(!state.projected.empty());
-  double lo = state.projected.front()[t];
-  double hi = lo;
-  for (const auto& vals : state.projected) {
-    lo = std::min(lo, vals[t]);
-    hi = std::max(hi, vals[t]);
-  }
-  proj.lo = lo;
-  proj.hi = hi;
-  const double width = WidthFor(lo, hi, state.bins);
+  proj.lo = proj.hi = state.projected.front()[t];
+  WidenRange(state.projected.begin(), state.projected.end(), t, proj.lo,
+             proj.hi);
+  const LodaBins binning(proj.lo, proj.hi, state.bins);
   proj.histogram.assign(static_cast<std::size_t>(state.bins), 0);
   for (const auto& vals : state.projected) {
-    ++proj.histogram[static_cast<std::size_t>(
-        BinFor(vals[t], lo, width, state.bins))];
+    ++proj.histogram[binning.Of(vals[t])];
   }
   ++rebuilds_;
 }
 
 void IncrementalLodaScorer::AdvanceState(SubspaceState& state,
                                          const WindowDelta& delta) {
-  const std::size_t num_proj = state.projectors.size();
-
-  // Point entry: one dot product per projector, batch loop order.
+  // Point entry: one dot product per projector.
   const Matrix& entered = *delta.entered;
   for (std::size_t r = 0; r < entered.rows(); ++r) {
-    std::vector<double> vals(num_proj);
-    for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state.projectors[t];
-      double v = 0.0;
-      for (std::size_t j = 0; j < proj.weights.size(); ++j) {
-        v += proj.weights[j] *
-             entered(r, static_cast<std::size_t>(proj.features[j]));
-      }
-      vals[t] = v;
-    }
-    state.projected.push_back(std::move(vals));
+    state.projected.push_back(state.Project(entered.Row(r)));
   }
 
   // Point exit: remember the projected values for histogram decrements.
@@ -181,73 +130,47 @@ void IncrementalLodaScorer::AdvanceState(SubspaceState& state,
   SUBEX_CHECK_MSG(state.projected.size() == delta.window_size,
                   "scorer state diverged from window");
 
+  // When one advance pushes more rows than the window holds, the overflow
+  // rows exited already (they sit at the back of `popped`). The entered
+  // rows still present are the deque's newest `survivors`; only the first
+  // `exited_old` popped rows were ever counted in a histogram.
+  const std::size_t survivors = std::min(entered.rows(), delta.window_size);
+  const std::size_t exited_old =
+      delta.num_exited - (entered.rows() - survivors);
+  const auto first_survivor = state.projected.end() - survivors;
+
   const int old_bins = state.bins;
-  state.bins = BinsFor(options_, static_cast<int>(delta.window_size));
+  state.bins = LodaBinCount(options_, static_cast<int>(delta.window_size));
 
-  for (std::size_t t = 0; t < num_proj; ++t) {
+  for (std::size_t t = 0; t < state.projectors.size(); ++t) {
     auto& proj = state.projectors[t];
-    const double old_lo = proj.lo;
-    const double old_hi = proj.hi;
-
     // An exiting extreme may shrink the range: rescan. Otherwise the range
-    // can only grow, by an entering value.
-    bool extremes_exited = false;
-    for (const auto& vals : popped) {
-      if (vals[t] <= old_lo || vals[t] >= old_hi) {
-        extremes_exited = true;
-        break;
-      }
-    }
-    double lo = old_lo;
-    double hi = old_hi;
+    // can only grow, by a surviving entered value.
+    const bool extremes_exited =
+        std::any_of(popped.begin(), popped.end(), [&](const auto& vals) {
+          return vals[t] <= proj.lo || vals[t] >= proj.hi;
+        });
+    double lo = proj.lo;
+    double hi = proj.hi;
     if (extremes_exited) {
-      lo = state.projected.front()[t];
-      hi = lo;
-      for (const auto& vals : state.projected) {
-        lo = std::min(lo, vals[t]);
-        hi = std::max(hi, vals[t]);
-      }
+      lo = hi = state.projected.front()[t];
+      WidenRange(state.projected.begin(), state.projected.end(), t, lo, hi);
     } else {
-      // Fold only entered rows that are still present: when one advance
-      // pushes more rows than the window holds, the overflow rows exited
-      // already (they sit in `popped`) and must not widen the range. The
-      // survivors are the deque's newest min(entered, window_size) rows.
-      const std::size_t still_present =
-          std::min(entered.rows(), delta.window_size);
-      const std::size_t deque_size = state.projected.size();
-      for (std::size_t r = 0; r < still_present; ++r) {
-        const double v =
-            state.projected[deque_size - still_present + r][t];
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
+      WidenRange(first_survivor, state.projected.end(), t, lo, hi);
     }
-    const bool range_changed = lo != proj.lo || hi != proj.hi;
-    proj.lo = lo;
-    proj.hi = hi;
-
-    if (state.bins != old_bins || range_changed ||
+    if (state.bins != old_bins || lo != proj.lo || hi != proj.hi ||
         static_cast<int>(proj.histogram.size()) != state.bins) {
       RebuildProjector(state, t);
       continue;
     }
     // Fast path: range and bin count unchanged, so every existing row keeps
     // its bin — add entering rows, subtract exiting ones.
-    const double width = WidthFor(proj.lo, proj.hi, state.bins);
-    const std::size_t still_present =
-        std::min(entered.rows(), delta.window_size);
-    const std::size_t deque_size = state.projected.size();
-    for (std::size_t r = 0; r < still_present; ++r) {
-      const double v = state.projected[deque_size - still_present + r][t];
-      ++proj.histogram[static_cast<std::size_t>(
-          BinFor(v, proj.lo, width, state.bins))];
+    const LodaBins binning(proj.lo, proj.hi, state.bins);
+    for (auto it = first_survivor; it != state.projected.end(); ++it) {
+      ++proj.histogram[binning.Of((*it)[t])];
     }
-    const std::size_t exited_old = delta.num_exited -
-                                   (entered.rows() - still_present);
     for (std::size_t i = 0; i < exited_old; ++i) {
-      const double v = popped[i][t];
-      --proj.histogram[static_cast<std::size_t>(
-          BinFor(v, proj.lo, width, state.bins))];
+      --proj.histogram[binning.Of(popped[i][t])];
     }
   }
 }
@@ -265,12 +188,10 @@ std::vector<double> IncrementalLodaScorer::Score(const Dataset& window,
   SUBEX_CHECK_MSG(state.projected.size() == window.num_points(),
                   "scorer state diverged from window");
 
-  const int bins = state.bins;
   const std::size_t num_proj = state.projectors.size();
-  std::vector<double> widths(num_proj);
-  for (std::size_t t = 0; t < num_proj; ++t) {
-    widths[t] = WidthFor(state.projectors[t].lo, state.projectors[t].hi,
-                         bins);
+  std::vector<LodaBins> binnings;
+  for (const auto& proj : state.projectors) {
+    binnings.emplace_back(proj.lo, proj.hi, state.bins);
   }
   // Accumulation mirrors the batch path: per point, the per-projector
   // -log(density) terms are summed in projector order, so the float result
@@ -280,12 +201,9 @@ std::vector<double> IncrementalLodaScorer::Score(const Dataset& window,
     const auto& vals = state.projected[static_cast<std::size_t>(p)];
     double sum = 0.0;
     for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state.projectors[t];
-      const int b = BinFor(vals[t], proj.lo, widths[t], bins);
-      const double density =
-          (proj.histogram[static_cast<std::size_t>(b)] + 1.0) /
-          ((n + bins) * widths[t]);
-      sum -= std::log(density);
+      const LodaBins& binning = binnings[t];
+      sum -= std::log(binning.Density(
+          state.projectors[t].histogram[binning.Of(vals[t])], n));
     }
     scores[static_cast<std::size_t>(p)] = sum / options_.num_projections;
   }

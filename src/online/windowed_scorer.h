@@ -57,14 +57,13 @@ class WindowedScorer {
 /// Incrementally maintained LODA (see `Loda` for the batch algorithm).
 ///
 /// Per subspace the scorer fixes the batch detector's sparse Gaussian
-/// projectors once (drawn from the identical `Rng` stream, so the
-/// projector set is bitwise the batch one) and then maintains, per
-/// projector, the projected value of every window row plus an equal-width
-/// histogram over them:
+/// projectors once (`DrawLodaProjectors`, the batch draw itself) and then
+/// maintains, per projector, the projected value of every window row plus
+/// an equal-width histogram over them:
 ///
-///  * point entry: one O(sqrt(d)) dot product per projector, computed in
-///    the batch loop order (bitwise the value the batch path computes),
-///    then a histogram increment;
+///  * point entry: one O(sqrt(d)) dot product per projector
+///    (`LodaProjector::Project`, the batch computation), then a histogram
+///    increment;
 ///  * point exit: a histogram decrement using the stored projected value;
 ///  * the histogram range [lo, hi] and the bin count (a function of the
 ///    window size before saturation) are monitored per advance — when an

@@ -1,6 +1,7 @@
 #include "subspace/subspace.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -17,6 +18,14 @@ Subspace::Subspace(std::vector<FeatureId> features)
 
 Subspace::Subspace(std::initializer_list<FeatureId> features)
     : Subspace(std::vector<FeatureId>(features)) {}
+
+std::vector<FeatureId> ResolveFeatures(const Subspace& subspace,
+                                       std::size_t num_features) {
+  if (!subspace.empty()) return subspace.features();
+  std::vector<FeatureId> all(num_features);
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
 
 bool Subspace::Contains(FeatureId f) const {
   return std::binary_search(features_.begin(), features_.end(), f);

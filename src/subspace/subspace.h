@@ -66,6 +66,12 @@ class Subspace {
   std::vector<FeatureId> features_;
 };
 
+/// The feature ids a detector iterates for `subspace` over a dataset of
+/// `num_features` columns: the subspace's own ids, or every id in order
+/// when it is empty (the detectors' "all features" convention).
+std::vector<FeatureId> ResolveFeatures(const Subspace& subspace,
+                                       std::size_t num_features);
+
 /// Hash functor so subspaces can key `std::unordered_{set,map}`.
 struct SubspaceHash {
   std::size_t operator()(const Subspace& s) const;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "data/columnar.h"
 #include "data/csv.h"
 #include "data/generators.h"
@@ -185,6 +186,122 @@ TEST_F(ChunkedScoreTest, TinyBudgetForcesEvictionMidScoringYetScoresMatch) {
   for (std::size_t p = 0; p < loda_in_ram.size(); ++p) {
     EXPECT_EQ(loda_streamed[p], loda_in_ram[p]);
   }
+}
+
+/// n points over 6 features with the shapes that stress tie-breaks: 0-2
+/// continuous, 3 rounded to 8 levels (ties), 4 a copy of feature 0 on the
+/// first half (duplicated values), 5 constant.
+Dataset HardData(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, 6);
+  for (int p = 0; p < n; ++p) {
+    m(p, 0) = rng.Uniform();
+    m(p, 1) = rng.Gaussian(0.5, 0.1);
+    m(p, 2) = rng.Uniform() * rng.Uniform();
+    m(p, 3) = static_cast<double>(rng.UniformInt(0, 7)) / 7.0;
+    m(p, 4) = p < n / 2 ? m(p, 0) : rng.Uniform();
+    m(p, 5) = 0.25;
+  }
+  return Dataset(std::move(m));
+}
+
+constexpr int kHardK = 10;
+
+/// Chunked vs in-RAM on hard inputs: a 300-point file plus the smallest
+/// legal ones, n = k + 1 (every other point is a neighbor) and n = 3 (k
+/// clamps to 2). Small chunks put chunk boundaries inside every list.
+class ChunkedScoreHardInputsTest : public ::testing::Test {
+ protected:
+  struct File {
+    Dataset dataset;
+    std::string path;
+  };
+
+  void SetUp() override {
+    const std::pair<int, std::size_t> shapes[] = {
+        {300, 7}, {kHardK + 1, 4}, {3, 2}};
+    for (const auto& [n, rows_per_chunk] : shapes) {
+      File file{HardData(n, 17 + n),
+                TempPath("hard_" + std::to_string(n) + ".cols")};
+      std::string error;
+      ASSERT_TRUE(WriteColumnarDataset(file.path, file.dataset,
+                                       rows_per_chunk, &error))
+          << error;
+      files_.push_back(std::move(file));
+    }
+  }
+
+  static std::vector<Subspace> Subspaces() {
+    return {Subspace({0}),    Subspace({3}),       Subspace({5}),
+            Subspace({0, 3}), Subspace({1, 5}),    Subspace({0, 2, 4}),
+            Subspace({3, 5}), Subspace()};
+  }
+
+  /// Opens `file` under a 1 MB budget and runs `check` on it.
+  template <typename Check>
+  void ForEachFile(Check check) {
+    for (const File& file : files_) {
+      EvictionManager manager(
+          EvictionManager::Options{.budget_bytes = 1 << 20});
+      ChunkedDatasetOptions options;
+      options.manager = &manager;
+      auto open = ChunkedDataset::Open(file.path, options);
+      ASSERT_TRUE(open.ok) << open.error;
+      for (const Subspace& subspace : Subspaces()) {
+        SCOPED_TRACE("n=" + std::to_string(file.dataset.num_points()) +
+                     " subspace " + subspace.ToString());
+        check(file.dataset, *open.dataset, subspace);
+      }
+    }
+  }
+
+  std::vector<File> files_;
+};
+
+TEST_F(ChunkedScoreHardInputsTest, KnnDistanceBothAggregations) {
+  ForEachFile([](const Dataset& in_ram, ChunkedDataset& chunked,
+                 const Subspace& subspace) {
+    for (const auto aggregation : {KnnDistance::Aggregation::kMax,
+                                   KnnDistance::Aggregation::kMean}) {
+      EXPECT_EQ(ScoreKnnDistanceChunked(chunked, subspace, kHardK,
+                                        aggregation),
+                KnnDistance(kHardK, aggregation).Score(in_ram, subspace));
+    }
+  });
+}
+
+TEST_F(ChunkedScoreHardInputsTest, LofAllPoints) {
+  ForEachFile([](const Dataset& in_ram, ChunkedDataset& chunked,
+                 const Subspace& subspace) {
+    EXPECT_EQ(ScoreLofChunked(chunked, subspace, kHardK),
+              Lof(kHardK).Score(in_ram, subspace));
+  });
+}
+
+TEST_F(ChunkedScoreHardInputsTest, LofQuerySubsetWithRepeatedId) {
+  ForEachFile([](const Dataset& in_ram, ChunkedDataset& chunked,
+                 const Subspace& subspace) {
+    const int n = static_cast<int>(in_ram.num_points());
+    const std::vector<int> queries = {n - 1, 0, n - 1, n / 2};
+    const std::vector<double> expected = Lof(kHardK).Score(in_ram, subspace);
+    const std::vector<double> streamed =
+        ScoreLofChunked(chunked, subspace, kHardK, queries);
+    ASSERT_EQ(streamed.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(streamed[i], expected[queries[i]]) << "query " << queries[i];
+    }
+  });
+}
+
+TEST_F(ChunkedScoreHardInputsTest, Loda) {
+  Loda::Options options;
+  options.num_projections = 20;
+  options.seed = 5;
+  ForEachFile([&options](const Dataset& in_ram, ChunkedDataset& chunked,
+                         const Subspace& subspace) {
+    EXPECT_EQ(ScoreLodaChunked(chunked, subspace, options),
+              Loda(options).Score(in_ram, subspace));
+  });
 }
 
 }  // namespace

@@ -53,11 +53,6 @@ TEST(DatasetTest, SortedIndexIsCachedReference) {
   EXPECT_EQ(first, second);
 }
 
-TEST(DatasetTest, FullSpaceSubspace) {
-  const Dataset d = MakeSmall();
-  EXPECT_EQ(d.FullSpace(), Subspace({0, 1}));
-}
-
 TEST(DatasetTest, NormalizeMinMaxMapsToUnitInterval) {
   Dataset d = MakeSmall();
   d.NormalizeMinMax();

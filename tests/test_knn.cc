@@ -71,6 +71,14 @@ TEST(KnnTest, SubspaceRestrictsDistance) {
   EXPECT_EQ(knn.neighbors[2][0].index, 3);
 }
 
+TEST(KnnTest, DistanceRestrictedToFeatures) {
+  Matrix m = {{0.0, 0.0, 10.0}, {3.0, 4.0, -10.0}};
+  const Dataset d(std::move(m));
+  EXPECT_DOUBLE_EQ(ComputeKnn(d, Subspace({0, 1}), 1).KDistance(0), 5.0);
+  EXPECT_DOUBLE_EQ(ComputeKnn(d, Subspace(), 1).KDistance(0),
+                   std::sqrt(425.0));
+}
+
 TEST(KnnTest, EmptySubspaceMeansFullSpace) {
   const Dataset d = LineDataset();
   const KnnTable full = ComputeKnn(d, Subspace(), 2);
@@ -98,6 +106,51 @@ TEST(KnnTest, DuplicatePointsZeroDistance) {
   const KnnTable knn = ComputeKnn(d, Subspace(), 1);
   EXPECT_EQ(knn.neighbors[0][0].index, 1);
   EXPECT_DOUBLE_EQ(knn.neighbors[0][0].distance, 0.0);
+}
+
+// The kernel's lists must not depend on how candidates are split into
+// blocks (chunks) or tiles: 2,500 points with heavy ties, fed as one block
+// and as uneven blocks straddling the tile size, give the same bits.
+TEST(KnnTest, SearchIsIndependentOfBlockSplit) {
+  constexpr int kN = 2500;
+  Rng rng(3);
+  std::vector<double> x(kN);
+  std::vector<double> y(kN);
+  for (int p = 0; p < kN; ++p) {
+    x[p] = static_cast<double>(rng.UniformInt(0, 9));
+    y[p] = rng.Uniform();
+  }
+  const std::vector<const double*> columns = {x.data(), y.data()};
+  const std::vector<int> queries = {0, 1023, 1024, 2499, 7};
+  std::vector<double> query_values;  // Column-major: x of every query, then y.
+  for (const std::vector<double>* column : {&x, &y}) {
+    for (int q : queries) query_values.push_back((*column)[q]);
+  }
+
+  KnnSearch whole(12, kN, queries, query_values);
+  whole.AddBlock(columns, 0, kN);
+  const std::vector<std::vector<Neighbor>> expected = std::move(whole).Finish();
+
+  KnnSearch split(12, kN, queries, query_values);
+  int first = 0;
+  for (int rows : {1, 6, 1030, 1, 1400, 62}) {
+    const std::vector<const double*> block = {x.data() + first,
+                                              y.data() + first};
+    split.AddBlock(block, first, rows);
+    first += rows;
+  }
+  ASSERT_EQ(first, kN);
+  const std::vector<std::vector<Neighbor>> actual = std::move(split).Finish();
+
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].size(), 12u);
+    for (std::size_t j = 0; j < expected[i].size(); ++j) {
+      EXPECT_EQ(actual[i][j].index, expected[i][j].index);
+      EXPECT_EQ(actual[i][j].distance, expected[i][j].distance);
+      EXPECT_NE(actual[i][j].index, queries[i]);
+    }
+  }
 }
 
 }  // namespace

@@ -94,14 +94,5 @@ TEST(MatrixTest, EqualityIsElementWise) {
   EXPECT_FALSE(a == c);
 }
 
-TEST(MatrixTest, SquaredDistanceRestrictedToFeatures) {
-  Matrix m = {{0.0, 0.0, 10.0}, {3.0, 4.0, -10.0}};
-  const std::vector<int> sub = {0, 1};
-  EXPECT_DOUBLE_EQ(SquaredDistance(m, 0, 1, sub), 25.0);
-  const std::vector<int> all = {0, 1, 2};
-  EXPECT_DOUBLE_EQ(SquaredDistance(m, 0, 1, all), 425.0);
-  EXPECT_DOUBLE_EQ(SquaredDistance(m, 0, 0, all), 0.0);
-}
-
 }  // namespace
 }  // namespace subex

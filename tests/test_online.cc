@@ -218,6 +218,50 @@ TEST(OnlineDatasetTest, IncrementalLodaFastPathDominatesInSteadyState) {
                                    loda_options.num_projections) / 2);
 }
 
+/// A projector that lands only on a constant column projects the whole
+/// window to one value: its histogram has zero range and takes the 1e-12
+/// width floor. Driven directly, window by window through growth and
+/// saturation, the scorer's raw scores must stay bitwise the batch ones.
+TEST(IncrementalLodaScorerTest, ConstantColumnWidthFloorMatchesBatch) {
+  Loda::Options loda_options;
+  loda_options.num_projections = 20;
+  loda_options.seed = 11;
+  IncrementalLodaScorer scorer(loda_options);
+  const Loda batch(loda_options);
+
+  DriftingStreamGenerator stream(SmallStream(23));
+  Matrix all = StreamRows(stream, 160);
+  for (std::size_t r = 0; r < all.rows(); ++r) all(r, 2) = 0.5;
+  const std::vector<Subspace> subspaces = {Subspace({2}), Subspace({0, 2}),
+                                           Subspace({1, 2, 4})};
+
+  constexpr std::size_t kCapacity = 48;
+  constexpr std::size_t kStride = 8;
+  std::size_t begin = 0;
+  std::size_t end = 16;  // The window holds rows [begin, end).
+  std::uint64_t epoch = 0;
+  for (;;) {
+    const Dataset window(SliceRows(all, begin, end - begin));
+    for (const Subspace& subspace : subspaces) {
+      EXPECT_EQ(scorer.Score(window, subspace),
+                batch.Score(window, subspace))
+          << "epoch " << epoch << " subspace " << subspace.ToString();
+    }
+    if (end + kStride > all.rows()) break;
+    const Matrix entered = SliceRows(all, end, kStride);
+    end += kStride;
+    const std::size_t next_begin = end > kCapacity ? end - kCapacity : 0;
+    WindowDelta delta;
+    delta.epoch = ++epoch;
+    delta.window_size = end - next_begin;
+    delta.entered = &entered;
+    delta.num_exited = next_begin - begin;
+    scorer.OnAdvance(delta);
+    begin = next_begin;
+  }
+  EXPECT_GE(epoch, 15u);
+}
+
 TEST(OnlineDatasetTest, ReindexScorersBitwiseMatchBatchRecompute) {
   OnlineDatasetOptions options;
   options.window_capacity = 40;

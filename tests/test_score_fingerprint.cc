@@ -1,11 +1,15 @@
-// Golden score fingerprints and concurrent-scoring checks for the
-// detectors whose kernels draw from `Rng` (iForest, LODA) plus LOF.
+// Golden score fingerprints and concurrent-scoring checks for every
+// detector of the testbed: the kNN family (LOF, Fast ABOD, kNN distance),
+// exact ABOD and the detectors whose kernels draw from `Rng` (iForest,
+// LODA).
 //
 // A fingerprint hashes the u64 bit patterns of `Score` over a fixed set of
 // subspaces of seeded datasets, so any kernel rewrite that moves a single
-// bit of a single score fails here. The hashes were recorded before the
-// in-place iForest kernel and the bitmap sampler, which must not move them;
-// a change that is meant to move scores updates them and says why.
+// bit of a single score fails here. The iForest and LODA hashes were
+// recorded before the in-place iForest kernel and the bitmap sampler, the
+// kNN-family and exact ABOD hashes before the shared block kNN kernel;
+// neither change may move them. A change that is meant to move scores
+// updates them and says why.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +19,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "detect/exact_abod.h"
+#include "detect/fast_abod.h"
 #include "detect/isolation_forest.h"
+#include "detect/knn_distance.h"
 #include "detect/loda.h"
 #include "detect/lof.h"
 
@@ -94,6 +101,28 @@ TEST(ScoreFingerprint, Loda) {
   EXPECT_EQ(Fingerprint(Loda(options)), 0xdef43c796392b064ull);
 }
 
+TEST(ScoreFingerprint, Lof) {
+  EXPECT_EQ(Fingerprint(Lof(15)), 0x06bbd6f3cad3d624ull);
+}
+
+TEST(ScoreFingerprint, FastAbod) {
+  EXPECT_EQ(Fingerprint(FastAbod(10)), 0x790489dd1b77bb1dull);
+}
+
+TEST(ScoreFingerprint, KnnDistanceMax) {
+  EXPECT_EQ(Fingerprint(KnnDistance(10, KnnDistance::Aggregation::kMax)),
+            0x9a2bd20023a83eacull);
+}
+
+TEST(ScoreFingerprint, KnnDistanceMean) {
+  EXPECT_EQ(Fingerprint(KnnDistance(10, KnnDistance::Aggregation::kMean)),
+            0xf2ba13f30f0c36d7ull);
+}
+
+TEST(ScoreFingerprint, ExactAbod) {
+  EXPECT_EQ(Fingerprint(ExactAbod()), 0x7e0c3dc77715c8f1ull);
+}
+
 // `Detector` promises that concurrent `Score` calls are safe and agree:
 // four threads score one subspace at once and must match a serial call
 // bit for bit.
@@ -124,6 +153,15 @@ TEST(DetectorConcurrency, IsolationForestThreadsMatchSerial) {
 
 TEST(DetectorConcurrency, LofThreadsMatchSerial) {
   ExpectConcurrentScoresMatchSerial(Lof(15));
+}
+
+TEST(DetectorConcurrency, FastAbodThreadsMatchSerial) {
+  ExpectConcurrentScoresMatchSerial(FastAbod(10));
+}
+
+TEST(DetectorConcurrency, KnnDistanceThreadsMatchSerial) {
+  ExpectConcurrentScoresMatchSerial(
+      KnnDistance(10, KnnDistance::Aggregation::kMean));
 }
 
 }  // namespace

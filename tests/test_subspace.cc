@@ -51,6 +51,12 @@ TEST(SubspaceTest, UnionMerges) {
             Subspace({0, 1, 2, 5}));
 }
 
+TEST(SubspaceTest, ResolveFeaturesEmptyMeansEveryFeature) {
+  EXPECT_EQ(ResolveFeatures(Subspace(), 2), (std::vector<FeatureId>{0, 1}));
+  EXPECT_EQ(ResolveFeatures(Subspace({4, 1}), 6),
+            (std::vector<FeatureId>{1, 4}));
+}
+
 TEST(SubspaceTest, ToString) {
   EXPECT_EQ(Subspace({3, 1}).ToString(), "{f1,f3}");
   EXPECT_EQ(Subspace().ToString(), "{}");

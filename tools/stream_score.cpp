@@ -28,11 +28,17 @@
 // detectors — the acceptance check of the chunked path. `--stats` prints
 // the eviction-manager snapshot; `--json` wraps everything in one JSON
 // object for scripting.
+//
+// Every numeric value is parsed strictly and range-checked, subspace and
+// query ids against the opened file: a malformed or out-of-range value
+// prints the usage text and exits 2.
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,6 +59,10 @@
 
 namespace {
 
+// Upper bounds that keep a typo from asking for absurd allocations.
+constexpr long long kMaxBudgetMb = 1 << 24;
+constexpr int kMaxProjections = 100000;
+
 struct Flags {
   std::string data;
   std::string detector = "knn";
@@ -61,6 +71,7 @@ struct Flags {
   int k = 10;
   int projections = 100;
   std::string queries = "poi";
+  std::vector<int> query_ids;  // Parsed --queries list.
   bool check_ram = false;
   bool stats = false;
   bool json = false;
@@ -77,38 +88,70 @@ int Usage() {
       "                    [--projections P] [--queries poi|all|ids,...]\n"
       "                    [--check-ram] [--stats] [--json]\n"
       "                    [--trace-out trace.json]\n"
-      "                    [--profile-out profile.folded] [--profile-hz N]\n");
+      "                    [--profile-out profile.folded] [--profile-hz N]\n"
+      "  N, K, P >= 1 (P <= %d); subspace ids < the file's columns and\n"
+      "  query ids < its rows.\n",
+      kMaxProjections);
   return 2;
 }
 
-std::vector<int> ParseIntList(const std::string& s) {
-  std::vector<int> values;
-  const char* p = s.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    values.push_back(static_cast<int>(std::strtol(p, &end, 10)));
-    p = (*end == ',') ? end + 1 : end;
+/// Parses all of `s` as a decimal integer in [lo, hi]. Rejects empty,
+/// partial ("3x"), signed-looking ("+3", " 3") and out-of-range tokens.
+template <typename T>
+bool ParseInt(const std::string& s, long long lo, long long hi, T* out) {
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s[0])) ||
+                     s[0] == '-')) {
+    return false;
   }
-  return values;
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || value < lo || value > hi) return false;
+  *out = static_cast<T>(value);
+  return true;
+}
+
+/// Parses a comma-separated list of non-negative ids ("0,3,7").
+bool ParseIdList(const std::string& s, std::vector<int>* out) {
+  out->clear();
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = s.find(',', begin);
+    int id = 0;
+    if (!ParseInt(s.substr(begin, comma - begin), 0,
+                  std::numeric_limits<int>::max(), &id)) {
+      return false;
+    }
+    out->push_back(id);
+    if (comma == std::string::npos) return true;
+    begin = comma + 1;
+  }
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--data" && i + 1 < argc) {
       flags->data = argv[++i];
     } else if (arg == "--detector" && i + 1 < argc) {
       flags->detector = argv[++i];
+      ok = flags->detector == "knn" || flags->detector == "lof" ||
+           flags->detector == "loda";
     } else if (arg == "--budget-mb" && i + 1 < argc) {
-      flags->budget_mb = std::strtoull(argv[++i], nullptr, 10);
+      ok = ParseInt(argv[++i], 1, kMaxBudgetMb, &flags->budget_mb);
     } else if (arg == "--subspace" && i + 1 < argc) {
-      flags->subspace = ParseIntList(argv[++i]);
+      ok = ParseIdList(argv[++i], &flags->subspace);
     } else if (arg == "--k" && i + 1 < argc) {
-      flags->k = std::atoi(argv[++i]);
+      ok = ParseInt(argv[++i], 1, kIntMax, &flags->k);
     } else if (arg == "--projections" && i + 1 < argc) {
-      flags->projections = std::atoi(argv[++i]);
+      ok = ParseInt(argv[++i], 1, kMaxProjections, &flags->projections);
     } else if (arg == "--queries" && i + 1 < argc) {
       flags->queries = argv[++i];
+      if (flags->queries != "poi" && flags->queries != "all") {
+        ok = ParseIdList(flags->queries, &flags->query_ids);
+      }
     } else if (arg == "--check-ram") {
       flags->check_ram = true;
     } else if (arg == "--stats") {
@@ -120,13 +163,18 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--profile-out" && i + 1 < argc) {
       flags->profile_out = argv[++i];
     } else if (arg == "--profile-hz" && i + 1 < argc) {
-      flags->profile_hz = std::atoi(argv[++i]);
+      ok = ParseInt(argv[++i], 0, kIntMax, &flags->profile_hz);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(),
+                   argv[i]);
+      return false;
+    }
   }
-  return !flags->data.empty() && flags->budget_mb > 0;
+  return !flags->data.empty();
 }
 
 double Checksum(const std::vector<double>& scores) {
@@ -170,6 +218,22 @@ int main(int argc, char** argv) {
   }
   subex::ChunkedDataset& data = *open.dataset;
 
+  for (int f : flags.subspace) {
+    if (static_cast<std::size_t>(f) >= data.num_cols()) {
+      std::fprintf(stderr,
+                   "error: subspace feature %d out of range (%zu columns)\n",
+                   f, data.num_cols());
+      return Usage();
+    }
+  }
+  const std::size_t min_rows = flags.detector == "loda" ? 3 : 2;
+  if (data.num_rows() < min_rows) {
+    std::fprintf(stderr, "error: %s needs at least %zu rows, %s has %zu\n",
+                 flags.detector.c_str(), min_rows, flags.data.c_str(),
+                 data.num_rows());
+    return 1;
+  }
+
   std::vector<int> queries;  // Empty = all points.
   if (flags.queries == "poi") {
     queries = data.outlier_indices();
@@ -181,11 +245,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else if (flags.queries != "all") {
-    queries = ParseIntList(flags.queries);
+    queries = flags.query_ids;
     for (int q : queries) {
-      if (q < 0 || static_cast<std::size_t>(q) >= data.num_rows()) {
-        std::fprintf(stderr, "error: query %d out of range\n", q);
-        return 1;
+      if (static_cast<std::size_t>(q) >= data.num_rows()) {
+        std::fprintf(stderr, "error: query %d out of range (%zu rows)\n", q,
+                     data.num_rows());
+        return Usage();
       }
     }
   }
@@ -202,12 +267,8 @@ int main(int argc, char** argv) {
         queries);
   } else if (flags.detector == "lof") {
     scores = subex::ScoreLofChunked(data, subspace, flags.k, queries);
-  } else if (flags.detector == "loda") {
-    scores = subex::ScoreLodaChunked(data, subspace, loda_options);
   } else {
-    std::fprintf(stderr, "error: unknown detector %s\n",
-                 flags.detector.c_str());
-    return Usage();
+    scores = subex::ScoreLodaChunked(data, subspace, loda_options);
   }
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
