@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   config.seed = profile.seed;
   const SyntheticDataset d = GenerateHicsDataset(config);
   const Lof lof(15);
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   PipelineOptions pipeline_options;
   pipeline_options.max_points = profile.name == "quick" ? 5 : 0;
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     double t4 = 0.0;
     for (int dim : {2, 3, 4}) {
       const PipelineResult r = RunPointExplanationPipeline(
-          d.dataset, d.ground_truth, lof, beam, dim, pipeline_options);
+          service, d.ground_truth, beam, dim, pipeline_options);
       row.push_back(FormatDouble(r.map));
       if (dim == 4) t4 = r.seconds;
     }
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
     options.result_mode = mode;
     const Beam beam(options);
     const PipelineResult r = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, beam, 4, pipeline_options);
+        service, d.ground_truth, beam, 4, pipeline_options);
     mode_table.AddRow(
         {mode == Beam::ResultMode::kFixedDim ? "Beam_FX" : "global-best",
          FormatDouble(r.map), FormatDouble(r.mean_recall)});

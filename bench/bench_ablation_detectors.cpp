@@ -67,8 +67,10 @@ int main(int argc, char** argv) {
       auc_sub += RocAuc(detector->Score(d.dataset, s), own);
     }
     auc_sub /= static_cast<double>(d.relevant_subspaces.size());
+    ScoringService service(*detector, d.dataset,
+                           {.enable_cache = false, .cache = {}});
     const PipelineResult r = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, *detector, beam, 2, pipeline_options);
+        service, d.ground_truth, beam, 2, pipeline_options);
     table.AddRow({name, FormatDouble(auc_full, 3), FormatDouble(auc_sub, 3),
                   FormatDouble(r.map), FormatSeconds(r.seconds)});
   }

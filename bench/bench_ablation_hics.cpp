@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   config.seed = profile.seed;
   const SyntheticDataset d = GenerateHicsDataset(config);
   const Lof lof(15);
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   std::printf("dataset: %zu pts, %zu feats, planted subspaces:",
               d.dataset.num_points(), d.dataset.num_features());
   for (const Subspace& s : d.relevant_subspaces) {
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
     options.mc_iterations = profile.hics_mc_iterations;
     options.seed = profile.seed;
     const Hics hics(options);
-    const PipelineResult r = RunSummarizationPipeline(
-        d.dataset, d.ground_truth, lof, hics, 3);
+    const PipelineResult r =
+        RunSummarizationPipeline(service, d.ground_truth, hics, 3);
     cutoff_table.AddRow({std::to_string(cutoff), FormatDouble(r.map),
                          FormatDouble(r.mean_recall),
                          FormatSeconds(r.seconds)});
@@ -111,10 +112,10 @@ int main(int argc, char** argv) {
     options.ranking = ranking;
     options.seed = profile.seed;
     const Hics hics(options);
-    const PipelineResult r2 = RunSummarizationPipeline(
-        d.dataset, d.ground_truth, lof, hics, 2);
-    const PipelineResult r3 = RunSummarizationPipeline(
-        d.dataset, d.ground_truth, lof, hics, 3);
+    const PipelineResult r2 =
+        RunSummarizationPipeline(service, d.ground_truth, hics, 2);
+    const PipelineResult r3 =
+        RunSummarizationPipeline(service, d.ground_truth, hics, 3);
     ranking_table.AddRow(
         {ranking == Hics::Ranking::kDetector ? "detector" : "contrast",
          FormatDouble(r2.map), FormatDouble(r3.map),

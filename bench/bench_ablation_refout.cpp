@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   config.seed = profile.seed;
   const SyntheticDataset d = GenerateHicsDataset(config);
   const Lof lof(15);
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   PipelineOptions pipeline_options;
   pipeline_options.max_points =
       profile.name == "quick" ? 6 : profile.max_points_per_cell;
@@ -39,9 +40,9 @@ int main(int argc, char** argv) {
     options.seed = profile.seed;
     const RefOut refout(options);
     const PipelineResult r2 = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, refout, 2, pipeline_options);
+        service, d.ground_truth, refout, 2, pipeline_options);
     const PipelineResult r3 = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, refout, 3, pipeline_options);
+        service, d.ground_truth, refout, 3, pipeline_options);
     pool_table.AddRow({std::to_string(pool), FormatDouble(r2.map),
                        FormatDouble(r3.map), FormatSeconds(r3.seconds)});
   }
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
     options.seed = profile.seed;
     const RefOut refout(options);
     const PipelineResult r = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, refout, 3, pipeline_options);
+        service, d.ground_truth, refout, 3, pipeline_options);
     ratio_table.AddRow({FormatDouble(ratio, 1), FormatDouble(r.map),
                         FormatDouble(r.mean_recall),
                         FormatSeconds(r.seconds)});

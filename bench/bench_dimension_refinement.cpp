@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   config.seed = profile.seed;
   const SyntheticDataset d = GenerateHicsDataset(config);
   const Lof lof(15);
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   std::printf("dataset: %zu pts, %zu feats (subspace outliers)\n\n",
               d.dataset.num_points(), d.dataset.num_features());
 
@@ -74,9 +75,9 @@ int main(int argc, char** argv) {
         static_cast<const PointExplainer*>(&refout),
         static_cast<const PointExplainer*>(&refined_refout)}) {
     const PipelineResult r3 = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, *explainer, 3, pipeline_options);
+        service, d.ground_truth, *explainer, 3, pipeline_options);
     const PipelineResult r4 = RunPointExplanationPipeline(
-        d.dataset, d.ground_truth, lof, *explainer, 4, pipeline_options);
+        service, d.ground_truth, *explainer, 4, pipeline_options);
     table.AddRow({explainer->name() + "+LOF", FormatDouble(r3.map),
                   FormatDouble(r3.mean_recall), FormatDouble(r4.map),
                   FormatDouble(r4.mean_recall), FormatSeconds(r3.seconds)});

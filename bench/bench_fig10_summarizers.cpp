@@ -10,7 +10,8 @@
 //  * real (full-space outliers): HiCS ~ 0 regardless of detector (no
 //    correlation signal); LookOut+LOF is the most effective.
 //
-// Usage: bench_fig10_summarizers [--full] [--seed N]
+// Usage: bench_fig10_summarizers [--full] [--seed N] [--threads N]
+//        [--no-cache]
 
 #include "bench_util.h"
 
@@ -18,8 +19,10 @@ int main(int argc, char** argv) {
   using namespace subex;
   const TestbedProfile profile = bench::ParseProfile(
       argc, argv, "Figure 10: MAP of explanation summarization pipelines");
+  ThreadPool pool(static_cast<std::size_t>(profile.num_threads));
   const std::vector<TestbedDataset> suite =
-      bench::BuildFullTestbed(profile, /*synthetic=*/true, /*real=*/true);
+      bench::BuildFullTestbed(profile, /*synthetic=*/true, /*real=*/true,
+                              &pool);
 
   for (const TestbedDataset& entry : suite) {
     const Dataset& data = entry.data.dataset;
@@ -37,12 +40,14 @@ int main(int argc, char** argv) {
     }
     table.SetHeader(header);
 
+    bench::DetectorServices services =
+        bench::MakeDetectorServices(profile, data, &pool);
+
     for (SummarizerKind summarizer_kind :
          {SummarizerKind::kLookOut, SummarizerKind::kHics}) {
       const auto summarizer =
           MakeTestbedSummarizer(summarizer_kind, profile);
       for (DetectorKind detector_kind : AllDetectorKinds()) {
-        const auto detector = MakeTestbedDetector(detector_kind, profile);
         std::vector<std::string> row = {
             std::string(SummarizerKindName(summarizer_kind)) + "+" +
             DetectorKindName(detector_kind)};
@@ -56,7 +61,7 @@ int main(int argc, char** argv) {
             continue;
           }
           const PipelineResult r = RunSummarizationPipeline(
-              data, gt, *detector, *summarizer, dim);
+              services.For(detector_kind), gt, *summarizer, dim);
           row.push_back(FormatDouble(r.map));
           row.push_back(FormatDouble(r.mean_recall));
         }
@@ -64,6 +69,8 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("%s\n", table.Render().c_str());
+    bench::PrintServiceStats(services);
+    std::printf("\n");
   }
 
   std::printf(

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   config.seed = profile.seed;
   const SyntheticDataset d = GenerateHicsDataset(config);
   const Lof lof(15);
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   std::printf("dataset: %zu pts, %zu feats, %zu outliers\n",
               d.dataset.num_points(), d.dataset.num_features(),
               d.dataset.outlier_indices().size());
@@ -50,8 +51,7 @@ int main(int argc, char** argv) {
           static_cast<const PointExplainer*>(&refout),
           static_cast<const PointExplainer*>(&surrogate)}) {
       const PipelineResult r = RunPointExplanationPipeline(
-          d.dataset, d.ground_truth, lof, *explainer, dim,
-          pipeline_options);
+          service, d.ground_truth, *explainer, dim, pipeline_options);
       table.AddRow({explainer->name(), std::to_string(dim),
                     FormatDouble(r.map), FormatDouble(r.mean_recall),
                     r.num_points > 0
@@ -73,8 +73,10 @@ int main(int argc, char** argv) {
   GroundTruthBuilderOptions gt_options;
   gt_options.min_dim = 2;
   gt_options.max_dim = 2;
+  ScoringService fs_service(lof, fs.dataset,
+                            {.enable_cache = false, .cache = {}});
   const GroundTruth fs_gt =
-      BuildGroundTruthByExhaustiveSearch(fs.dataset, lof, gt_options);
+      BuildGroundTruthByExhaustiveSearch(fs_service, gt_options);
   std::printf("full-space dataset: %zu pts, %zu feats; surrogate R^2: %.2f\n",
               fs.dataset.num_points(), fs.dataset.num_features(),
               surrogate.Fidelity(fs.dataset, lof));
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
        {static_cast<const PointExplainer*>(&beam),
         static_cast<const PointExplainer*>(&surrogate)}) {
     const PipelineResult r = RunPointExplanationPipeline(
-        fs.dataset, fs_gt, lof, *explainer, 2, pipeline_options);
+        fs_service, fs_gt, *explainer, 2, pipeline_options);
     fs_table.AddRow({explainer->name(), FormatDouble(r.map),
                      FormatDouble(r.mean_recall),
                      r.num_points > 0 ? FormatSeconds(r.seconds / r.num_points)

@@ -7,6 +7,8 @@
 // evaluations; the quick profile skips proportionally earlier).
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -154,31 +156,63 @@ class JsonTimingReport {
   std::vector<std::string> rows_;
 };
 
+/// Largest `--threads` value `ParseProfile` accepts.
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
+/// Parses all of `text` as a decimal integer in [0, max]: false on an empty
+/// token, a sign, trailing junk or overflow.
+inline bool ParseBoundedUnsigned(const char* text, std::uint64_t max,
+                                 std::uint64_t* out) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
 /// Parses `--full` (paper profile) / `--seed N` / `--threads N` (ThreadPool
-/// size, 0 = hardware concurrency) / `--no-cache` (bypass the scoring
-/// service cache) from argv; everything else is ignored. Prints the chosen
-/// profile banner.
+/// size in [0, kMaxThreads], 0 = hardware concurrency) / `--no-cache`
+/// (bypass the scoring service cache) from argv; other flags are ignored.
+/// A missing or malformed `--seed`/`--threads` value prints the usage and
+/// exits 2 before any pool exists. Prints the chosen profile banner.
 inline TestbedProfile ParseProfile(int argc, char** argv,
                                    const char* binary_name) {
   TestbedProfile profile = TestbedProfile::Quick();
-  int threads = profile.num_threads;
+  std::uint64_t threads = static_cast<std::uint64_t>(profile.num_threads);
   bool no_cache = false;
   std::uint64_t seed = profile.seed;
   bool seed_set = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const bool is_seed = std::strcmp(argv[i], "--seed") == 0;
+    const bool is_threads = std::strcmp(argv[i], "--threads") == 0;
+    if (is_seed || is_threads) {
+      const std::uint64_t max = is_seed ? UINT64_MAX : kMaxThreads;
+      std::uint64_t value = 0;
+      if (i + 1 >= argc || !ParseBoundedUnsigned(argv[i + 1], max, &value)) {
+        std::fprintf(stderr,
+                     "%s: %s needs an integer in [0, %llu], got '%s'\n"
+                     "usage: %s [--full] [--seed N] [--threads N] "
+                     "[--no-cache]\n",
+                     argv[0], argv[i], static_cast<unsigned long long>(max),
+                     i + 1 < argc ? argv[i + 1] : "", argv[0]);
+        std::exit(2);
+      }
+      if (is_seed) {
+        seed = value;
+        seed_set = true;
+      } else {
+        threads = value;
+      }
+      ++i;
+    } else if (std::strcmp(argv[i], "--full") == 0) {
       profile = TestbedProfile::Paper();
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-      seed_set = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       no_cache = true;
     }
   }
   if (seed_set) profile.seed = seed;
-  profile.num_threads = threads;
+  profile.num_threads = static_cast<int>(threads);
   profile.cache_scores = !no_cache;
   std::printf("== %s ==\n", binary_name);
   std::printf(

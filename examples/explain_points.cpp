@@ -42,8 +42,10 @@ int main(int argc, char** argv) {
           MakeTestbedPointExplainer(explainer_kind, profile);
       for (DetectorKind detector_kind : AllDetectorKinds()) {
         const auto detector = MakeTestbedDetector(detector_kind, profile);
+        ScoringService service(*detector, d.dataset,
+                               {.enable_cache = false, .cache = {}});
         const PipelineResult r = RunPointExplanationPipeline(
-            d.dataset, d.ground_truth, *detector, *explainer, dim);
+            service, d.ground_truth, *explainer, dim);
         table.AddRow({r.explainer_name, r.detector_name,
                       std::to_string(dim), FormatDouble(r.map),
                       FormatDouble(r.mean_recall),

@@ -67,11 +67,12 @@ int main(int argc, char** argv) {
 
   // Quantify with the paper's metric.
   std::printf("\nMAP against planted ground truth:\n");
+  ScoringService service(lof, d.dataset, {.enable_cache = false, .cache = {}});
   for (int dim : {2, 3}) {
-    const PipelineResult lo = RunSummarizationPipeline(
-        d.dataset, d.ground_truth, lof, lookout, dim);
-    const PipelineResult hi = RunSummarizationPipeline(
-        d.dataset, d.ground_truth, lof, hics, dim);
+    const PipelineResult lo =
+        RunSummarizationPipeline(service, d.ground_truth, lookout, dim);
+    const PipelineResult hi =
+        RunSummarizationPipeline(service, d.ground_truth, hics, dim);
     std::printf("  %dd: LookOut %.2f   HiCS %.2f\n", dim, lo.map, hi.map);
   }
   return 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <span>
 
 #include "common/check.h"
@@ -11,57 +10,6 @@
 #include "subspace/enumeration.h"
 
 namespace subex {
-
-GroundTruth BuildGroundTruthByExhaustiveSearch(
-    const Dataset& data, const Detector& detector,
-    const GroundTruthBuilderOptions& options, ThreadPool* pool) {
-  SUBEX_CHECK(options.min_dim >= 1);
-  SUBEX_CHECK(options.max_dim >= options.min_dim);
-  SUBEX_CHECK(static_cast<std::size_t>(options.max_dim) <=
-              data.num_features());
-  const std::vector<int>& outliers = data.outlier_indices();
-  SUBEX_CHECK_MSG(!outliers.empty(), "dataset has no points of interest");
-
-  Histogram& sweep_histogram =
-      MetricsRegistry::Global().GetHistogram("gt.search");
-  GroundTruth ground_truth;
-  const int d = static_cast<int>(data.num_features());
-  for (int dim = options.min_dim; dim <= options.max_dim; ++dim) {
-    // One span per dimension sweep, attached to any ambient trace.
-    TraceSpan sweep(&sweep_histogram, nullptr, "gt.search");
-    const std::vector<Subspace> candidates = EnumerateSubspaces(d, dim);
-    std::vector<double> best_score(
-        outliers.size(), -std::numeric_limits<double>::infinity());
-    std::vector<int> best_subspace(outliers.size(), -1);
-    std::mutex mutex;
-
-    auto evaluate = [&](std::size_t j) {
-      const std::vector<double> scores =
-          ScoreStandardized(detector, data, candidates[j]);
-      std::lock_guard<std::mutex> lock(mutex);
-      for (std::size_t i = 0; i < outliers.size(); ++i) {
-        const double s = scores[outliers[i]];
-        if (s > best_score[i]) {
-          best_score[i] = s;
-          best_subspace[i] = static_cast<int>(j);
-        }
-      }
-    };
-
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(candidates.size(), evaluate);
-    } else {
-      for (std::size_t j = 0; j < candidates.size(); ++j) evaluate(j);
-    }
-
-    for (std::size_t i = 0; i < outliers.size(); ++i) {
-      if (best_subspace[i] >= 0) {
-        ground_truth.Add(outliers[i], candidates[best_subspace[i]]);
-      }
-    }
-  }
-  return ground_truth;
-}
 
 GroundTruth BuildGroundTruthByExhaustiveSearch(
     ScoringService& service, const GroundTruthBuilderOptions& options) {

@@ -1,10 +1,7 @@
 #ifndef SUBEX_CORE_GROUND_TRUTH_BUILDER_H_
 #define SUBEX_CORE_GROUND_TRUTH_BUILDER_H_
 
-#include "common/thread_pool.h"
-#include "data/dataset.h"
 #include "data/ground_truth.h"
-#include "detect/detector.h"
 #include "serve/scoring_service.h"
 
 namespace subex {
@@ -19,22 +16,17 @@ struct GroundTruthBuilderOptions {
 /// Builds explanation ground truth for a dataset whose outliers are known
 /// but whose relevant subspaces are not — the procedure the paper applied
 /// to the real datasets (§3.2): for every dimensionality in
-/// [min_dim, max_dim], score *all* subspaces with the detector (the paper
-/// uses LOF) and record, per outlier, the single subspace in which the
-/// outlier's z-standardized score is highest.
+/// [min_dim, max_dim], score *all* subspaces of `service.data()` with the
+/// service's detector (the paper uses LOF) and record, per outlier, the
+/// single subspace in which the outlier's z-standardized score is highest.
+/// Ties go to the first candidate in `EnumerateSubspaces` order.
 ///
 /// The result assigns each outlier exactly one relevant subspace per
-/// dimensionality. Pass a `ThreadPool` to parallelize the per-subspace
-/// scoring; pass nullptr to run sequentially.
-GroundTruth BuildGroundTruthByExhaustiveSearch(
-    const Dataset& data, const Detector& detector,
-    const GroundTruthBuilderOptions& options, ThreadPool* pool = nullptr);
-
-/// Service-backed variant of the exhaustive search: identical results, but
-/// every candidate subspace is scored through `service.ScoreMany`, so the
-/// sweep parallelizes on the service's pool and reuses (and feeds) its
-/// cache. Candidates are batched in fixed-size chunks to bound the number
-/// of score vectors held live at once.
+/// dimensionality. Candidates are scored through `service.ScoreMany` in
+/// fixed-size chunks, so the sweep parallelizes on the service's pool; the
+/// result does not depend on the pool or the cache. An exhaustive sweep
+/// never repeats a subspace, so a service with `enable_cache = false` and
+/// no pool is the plain serial search.
 GroundTruth BuildGroundTruthByExhaustiveSearch(
     ScoringService& service, const GroundTruthBuilderOptions& options);
 

@@ -51,36 +51,6 @@ struct StageHistograms {
 }  // namespace
 
 PipelineResult RunPointExplanationPipeline(
-    const Dataset& data, const GroundTruth& ground_truth,
-    const Detector& detector, const PointExplainer& explainer,
-    int explanation_dim, const PipelineOptions& options) {
-  PipelineResult result;
-  result.detector_name = detector.name();
-  result.explainer_name = explainer.name();
-  result.explanation_dim = explanation_dim;
-
-  const GroundTruth at_dim = ground_truth.FilterByDimension(explanation_dim);
-  const std::vector<int> points = SelectPoints(ground_truth, explanation_dim,
-                                               options);
-  ExplanationScorer scorer;
-  StageHistograms search("explain.search", explainer.name());
-  const auto start = Clock::now();
-  for (int p : points) {
-    const auto point_start = Clock::now();
-    const RankedSubspaces ranked =
-        explainer.Explain(data, detector, p, explanation_dim);
-    search.Record(static_cast<std::uint64_t>(
-        SecondsSince(point_start) * 1e9));
-    scorer.AddPoint(ranked.subspaces, at_dim.RelevantFor(p));
-  }
-  result.seconds = SecondsSince(start);
-  result.map = scorer.MeanAveragePrecision();
-  result.mean_recall = scorer.MeanRecall();
-  result.num_points = scorer.num_points();
-  return result;
-}
-
-PipelineResult RunPointExplanationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,
     const PointExplainer& explainer, int explanation_dim,
     const PipelineOptions& options) {
@@ -98,7 +68,7 @@ PipelineResult RunPointExplanationPipeline(
 
   // Explain concurrently (explainers are deterministic per point and must
   // not mutate shared state), then score sequentially in point order so the
-  // result is identical to the sequential pipeline.
+  // result does not depend on the pool.
   std::vector<RankedSubspaces> ranked(points.size());
   StageHistograms search("explain.search", explainer.name());
   const auto start = Clock::now();
@@ -130,15 +100,9 @@ PipelineResult RunSummarizationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,
     const Summarizer& summarizer, int explanation_dim,
     const PipelineOptions& options) {
+  const Dataset& data = service.data();
   const CachingDetector detector(service);
-  return RunSummarizationPipeline(service.data(), ground_truth, detector,
-                                  summarizer, explanation_dim, options);
-}
 
-PipelineResult RunSummarizationPipeline(
-    const Dataset& data, const GroundTruth& ground_truth,
-    const Detector& detector, const Summarizer& summarizer,
-    int explanation_dim, const PipelineOptions& options) {
   PipelineResult result;
   result.detector_name = detector.name();
   result.explainer_name = summarizer.name();

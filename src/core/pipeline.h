@@ -7,7 +7,6 @@
 
 #include "data/dataset.h"
 #include "data/ground_truth.h"
-#include "detect/detector.h"
 #include "explain/point_explainer.h"
 #include "explain/summarizer.h"
 #include "serve/scoring_service.h"
@@ -43,34 +42,24 @@ struct PipelineOptions {
 
 /// Runs a point-explanation pipeline (Figure 7, top path): for every point
 /// the ground truth explains at `explanation_dim`, asks `explainer` for
-/// fixed-dimensionality subspaces and scores them against the ground truth
-/// restricted to that dimensionality.
-PipelineResult RunPointExplanationPipeline(
-    const Dataset& data, const GroundTruth& ground_truth,
-    const Detector& detector, const PointExplainer& explainer,
-    int explanation_dim, const PipelineOptions& options = {});
-
-/// Runs a summarization pipeline (Figure 7, bottom path): hands the *full*
-/// point-of-interest set to `summarizer` once, then scores the returned
-/// summary against each point explained at `explanation_dim`.
-PipelineResult RunSummarizationPipeline(
-    const Dataset& data, const GroundTruth& ground_truth,
-    const Detector& detector, const Summarizer& summarizer,
-    int explanation_dim, const PipelineOptions& options = {});
-
-/// Service-backed point pipeline: identical protocol and (per-point
-/// deterministic explainers + pure detectors) identical results, but all
-/// scoring goes through `service` — cached subspaces are served from
-/// memory, and when the service has a multi-worker pool the points are
-/// explained concurrently, with single-flight deduplicating the overlapping
-/// subspace requests of concurrent explanations.
+/// fixed-dimensionality subspaces through `service` and scores them against
+/// the ground truth restricted to that dimensionality.
+///
+/// With a multi-worker pool on `service` the points are explained
+/// concurrently (single-flight deduplicates their overlapping subspace
+/// requests); scoring stays in point order, so the result does not depend
+/// on the pool. A service built with `enable_cache = false` and no pool
+/// computes every subspace afresh on the calling thread: the plain serial
+/// run whose `seconds` compare across explainers.
 PipelineResult RunPointExplanationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,
     const PointExplainer& explainer, int explanation_dim,
     const PipelineOptions& options = {});
 
-/// Service-backed summarization pipeline: one `Summarize` call over the
-/// full point-of-interest set, scored through the service's cache.
+/// Runs a summarization pipeline (Figure 7, bottom path): hands the *full*
+/// point-of-interest set to `summarizer` once, then scores the returned
+/// summary against each point explained at `explanation_dim`. Use a
+/// service with `enable_cache = false` for an uncached run.
 PipelineResult RunSummarizationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,
     const Summarizer& summarizer, int explanation_dim,

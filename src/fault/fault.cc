@@ -53,18 +53,6 @@ bool ParseFaultPoint(const std::string& name, FaultPoint* out) {
   return false;
 }
 
-const char* FaultActionName(FaultAction action) {
-  switch (action) {
-    case FaultAction::kFail:
-      return "fail";
-    case FaultAction::kEintr:
-      return "eintr";
-    case FaultAction::kShort:
-      return "short";
-  }
-  return "fail";
-}
-
 bool ParseFaultAction(const std::string& name, FaultAction* out) {
   if (name == "fail") {
     *out = FaultAction::kFail;

@@ -58,7 +58,6 @@ enum class FaultAction : std::uint8_t {
   kShort,     ///< Partial transfer (1 byte) — a correct site resumes.
 };
 
-const char* FaultActionName(FaultAction action);
 bool ParseFaultAction(const std::string& name, FaultAction* out);
 
 /// One point's trigger rule.

@@ -59,17 +59,6 @@ EventLog& EventLog::Global() {
   return *log;
 }
 
-void EventLog::Configure(EventLogOptions options) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  options_ = options;
-  // New rates apply from a full bucket and the ring restarts at the new
-  // capacity — Configure is a startup-time call, losing early events is fine.
-  buckets_.clear();
-  ring_.clear();
-  next_ = 0;
-  size_ = 0;
-}
-
 bool EventLog::Admit(EventSeverity severity, std::string_view key) {
   (void)severity;
   const std::uint64_t now_ns = SteadyNowNs();

@@ -54,10 +54,6 @@ class EventLog {
   EventLog() = default;
   explicit EventLog(EventLogOptions options) : options_(options) {}
 
-  /// Replaces options; the ring and rate-limiter buckets restart empty
-  /// (emitted/suppressed totals stay).
-  void Configure(EventLogOptions options);
-
   /// True when an event for `key` passes its rate limit; consumes a token.
   /// On false the event is counted as suppressed and must not be appended.
   bool Admit(EventSeverity severity, std::string_view key);
@@ -159,7 +155,6 @@ class EventLog {
     static EventLog log;
     return log;
   }
-  void Configure(EventLogOptions) {}
   bool Admit(EventSeverity, std::string_view) { return false; }
   void Append(EventSeverity, std::string_view, std::string) {}
   bool Emit(EventSeverity, std::string_view, std::string = "{}") {

@@ -116,10 +116,6 @@ void SpanCollector::Enable(std::size_t ring_capacity_per_thread) {
   enabled_.store(true, std::memory_order_release);
 }
 
-void SpanCollector::Disable() {
-  enabled_.store(false, std::memory_order_release);
-}
-
 SpanCollector::ThreadRing* SpanCollector::RingForThisThread() {
   const std::uint64_t generation = generation_.load(std::memory_order_relaxed);
   if (t_slot.owner == this && t_slot.generation == generation) {

@@ -49,8 +49,6 @@ class SpanCollector {
   /// Starts collecting; per-thread rings hold `ring_capacity_per_thread`
   /// spans. Re-enabling discards previously collected spans.
   void Enable(std::size_t ring_capacity_per_thread = 4096);
-  /// Stops collecting; already-collected spans remain snapshottable.
-  void Disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void Record(SpanRecord record);
@@ -103,7 +101,6 @@ class SpanCollector {
     return collector;
   }
   void Enable(std::size_t = 0) {}
-  void Disable() {}
   bool enabled() const { return false; }
   void Record(SpanRecord) {}
   std::vector<SpanRecord> Snapshot() const { return {}; }

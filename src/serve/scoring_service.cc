@@ -1,7 +1,6 @@
 #include "serve/scoring_service.h"
 
 #include <chrono>
-#include <utility>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -43,20 +42,6 @@ ScoringService::ScoringService(const Detector& detector, const Dataset& data,
                        NamedCacheOptions(options.cache, detector_name_),
                        stats_.get())
                  : nullptr),
-      pool_(pool),
-      score_histogram_(&MetricsRegistry::Global().GetHistogram("detect.score")),
-      detector_histogram_(&MetricsRegistry::Global().GetHistogram(
-          "detect.score." + detector_name_)),
-      prof_counters_(ProfCounterSet::ForKernel("detect." + detector_name_)) {}
-
-ScoringService::ScoringService(const Detector& detector, const Dataset& data,
-                               std::shared_ptr<ScoreCache> cache,
-                               ThreadPool* pool)
-    : detector_(detector),
-      data_(data),
-      detector_name_(detector.name()),
-      stats_(std::make_shared<ServiceStats>()),
-      cache_(std::move(cache)),
       pool_(pool),
       score_histogram_(&MetricsRegistry::Global().GetHistogram("detect.score")),
       detector_histogram_(&MetricsRegistry::Global().GetHistogram(

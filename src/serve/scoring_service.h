@@ -25,7 +25,7 @@ struct ScoringServiceOptions {
   /// False disables memoization: every unique request computes, but
   /// single-flight deduplication of concurrent identical requests stays on.
   bool enable_cache = true;
-  /// Cache sizing (ignored when an external cache is supplied).
+  /// Cache sizing (ignored when `enable_cache` is false).
   ScoreCacheOptions cache;
 };
 
@@ -45,18 +45,14 @@ struct ScoringServiceOptions {
 /// All methods are safe to call concurrently. Determinism: detectors are
 /// pure (stochastic ones seed from the subspace identity), so a cached
 /// vector is bitwise identical to a fresh computation. The referenced
-/// detector, dataset, cache and pool must outlive the service.
+/// detector, dataset and pool must outlive the service.
 class ScoringService {
  public:
-  /// Service with its own private cache sized by `options.cache`.
+  /// Service with its own private cache sized by `options.cache` (none when
+  /// `options.enable_cache` is false).
   ScoringService(const Detector& detector, const Dataset& data,
                  const ScoringServiceOptions& options = {},
                  ThreadPool* pool = nullptr);
-
-  /// Service sharing an external cache (e.g. one budget across several
-  /// detectors); `cache` may be null for a pure single-flight service.
-  ScoringService(const Detector& detector, const Dataset& data,
-                 std::shared_ptr<ScoreCache> cache, ThreadPool* pool = nullptr);
 
   ScoringService(const ScoringService&) = delete;
   ScoringService& operator=(const ScoringService&) = delete;
@@ -111,10 +107,11 @@ class ScoringService {
 };
 
 /// `Detector` adapter routing `Score` through a `ScoringService`, so every
-/// existing explainer/pipeline/builder taking `const Detector&` gains
-/// caching + deduplication without code changes. Returns the service's
-/// standardized vectors and reports `ReturnsStandardizedScores() == true`,
-/// so `ScoreStandardized(adapter, ...)` passes them through bitwise-intact.
+/// explainer taking `const Detector&` gains caching + deduplication without
+/// code changes; the pipelines hand it to the explainers. Returns the
+/// service's standardized vectors and reports `ReturnsStandardizedScores()
+/// == true`, so `ScoreStandardized(adapter, ...)` passes them through
+/// bitwise-intact.
 /// Only valid for the service's own dataset (checked).
 class CachingDetector : public Detector {
  public:

@@ -48,8 +48,10 @@ TEST_P(PointGridTest, RecoversEasyTwoDimensionalExplanations) {
   const SyntheticDataset& d = SubspaceData();
   PipelineOptions options;
   options.max_points = 6;
+  ScoringService service(*detector, d.dataset,
+                         {.enable_cache = false, .cache = {}});
   const PipelineResult result = RunPointExplanationPipeline(
-      d.dataset, d.ground_truth, *detector, *explainer, 2, options);
+      service, d.ground_truth, *explainer, 2, options);
   EXPECT_EQ(result.num_points, 6);
   EXPECT_GT(result.map, 0.5) << result.detector_name << " + "
                              << result.explainer_name;
@@ -82,8 +84,10 @@ TEST_P(SummaryGridTest, CoversEasyTwoDimensionalSummaries) {
   const auto summarizer = MakeTestbedSummarizer(summarizer_kind, profile);
 
   const SyntheticDataset& d = SubspaceData();
-  const PipelineResult result = RunSummarizationPipeline(
-      d.dataset, d.ground_truth, *detector, *summarizer, 2);
+  ScoringService service(*detector, d.dataset,
+                         {.enable_cache = false, .cache = {}});
+  const PipelineResult result =
+      RunSummarizationPipeline(service, d.ground_truth, *summarizer, 2);
   EXPECT_GT(result.num_points, 0);
   EXPECT_GT(result.mean_recall, 0.5)
       << result.detector_name << " + " << result.explainer_name;
@@ -113,8 +117,10 @@ TEST(PaperShapeTest, FullSpaceOutliersBeamBeatsRefOut) {
   GroundTruthBuilderOptions gt_options;
   gt_options.min_dim = 2;
   gt_options.max_dim = 2;
-  const GroundTruth gt = BuildGroundTruthByExhaustiveSearch(
-      generated.dataset, *lof, gt_options);
+  ScoringService service(*lof, generated.dataset,
+                         {.enable_cache = false, .cache = {}});
+  const GroundTruth gt =
+      BuildGroundTruthByExhaustiveSearch(service, gt_options);
 
   Beam::Options beam_options;
   beam_options.beam_width = 20;
@@ -126,10 +132,10 @@ TEST(PaperShapeTest, FullSpaceOutliersBeamBeatsRefOut) {
   PipelineOptions options;
   options.max_points = 8;
 
-  const PipelineResult beam_result = RunPointExplanationPipeline(
-      generated.dataset, gt, *lof, beam, 2, options);
-  const PipelineResult refout_result = RunPointExplanationPipeline(
-      generated.dataset, gt, *lof, refout, 2, options);
+  const PipelineResult beam_result =
+      RunPointExplanationPipeline(service, gt, beam, 2, options);
+  const PipelineResult refout_result =
+      RunPointExplanationPipeline(service, gt, refout, 2, options);
   EXPECT_GT(beam_result.map, 0.8);
   EXPECT_GT(beam_result.map, refout_result.map + 0.2);
 }
@@ -148,8 +154,10 @@ TEST(PaperShapeTest, FullSpaceOutliersLookOutBeatsHics) {
   GroundTruthBuilderOptions gt_options;
   gt_options.min_dim = 2;
   gt_options.max_dim = 2;
-  const GroundTruth gt = BuildGroundTruthByExhaustiveSearch(
-      generated.dataset, *lof, gt_options);
+  ScoringService service(*lof, generated.dataset,
+                         {.enable_cache = false, .cache = {}});
+  const GroundTruth gt =
+      BuildGroundTruthByExhaustiveSearch(service, gt_options);
 
   LookOut::Options lookout_options;
   lookout_options.budget = 45;  // All candidates affordable: C(10,2) = 45.
@@ -160,10 +168,10 @@ TEST(PaperShapeTest, FullSpaceOutliersLookOutBeatsHics) {
   hics_options.max_results = 10;  // Forces HiCS to commit to few subspaces.
   const Hics hics(hics_options);
 
-  const PipelineResult lookout_result = RunSummarizationPipeline(
-      generated.dataset, gt, *lof, lookout, 2);
-  const PipelineResult hics_result = RunSummarizationPipeline(
-      generated.dataset, gt, *lof, hics, 2);
+  const PipelineResult lookout_result =
+      RunSummarizationPipeline(service, gt, lookout, 2);
+  const PipelineResult hics_result =
+      RunSummarizationPipeline(service, gt, hics, 2);
   EXPECT_GT(lookout_result.mean_recall, hics_result.mean_recall - 1e-9);
   EXPECT_GT(lookout_result.map, 0.1);
 }

@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/ground_truth_builder.h"
-#include "core/pipeline.h"
 #include "data/generators.h"
 #include "detect/fast_abod.h"
 #include "detect/isolation_forest.h"
@@ -245,50 +243,6 @@ TEST(CachingDetectorTest, AdapterIsBitwiseEquivalentForExplainers) {
     EXPECT_EQ(cached.scores[i], direct.scores[i]);
   }
   EXPECT_GT(service.stats().Requests(), 0u);
-}
-
-TEST(ScoringServiceTest, PipelineOverloadMatchesPlainPipeline) {
-  const SyntheticDataset d = SmallHics();
-  const Lof lof(15);
-  const Beam beam;
-  const PipelineResult plain =
-      RunPointExplanationPipeline(d.dataset, d.ground_truth, lof, beam, 2);
-
-  ThreadPool pool(3);
-  ScoringService service(lof, d.dataset, ScoringServiceOptions{}, &pool);
-  const PipelineResult served =
-      RunPointExplanationPipeline(service, d.ground_truth, beam, 2);
-  EXPECT_EQ(served.map, plain.map);
-  EXPECT_EQ(served.mean_recall, plain.mean_recall);
-  EXPECT_EQ(served.num_points, plain.num_points);
-  EXPECT_EQ(served.detector_name, plain.detector_name);
-  EXPECT_GT(service.stats().HitRate(), 0.0)
-      << "beam re-scores overlapping subspaces across points";
-}
-
-TEST(ScoringServiceTest, GroundTruthBuilderOverloadMatchesDetectorPath) {
-  FullSpaceGeneratorConfig config;
-  config.num_points = 60;
-  config.num_features = 6;
-  config.num_outliers = 6;
-  config.seed = 3;
-  const SyntheticDataset d = GenerateFullSpaceDataset(config);
-  const Lof lof(15);
-  GroundTruthBuilderOptions options;
-  options.min_dim = 2;
-  options.max_dim = 3;
-  const GroundTruth direct =
-      BuildGroundTruthByExhaustiveSearch(d.dataset, lof, options);
-
-  ThreadPool pool(3);
-  ScoringServiceOptions service_options;
-  service_options.enable_cache = false;
-  ScoringService service(lof, d.dataset, service_options, &pool);
-  const GroundTruth served =
-      BuildGroundTruthByExhaustiveSearch(service, options);
-  for (int p : d.dataset.outlier_indices()) {
-    EXPECT_EQ(served.RelevantFor(p), direct.RelevantFor(p));
-  }
 }
 
 TEST(ScoringServiceTest, TinyCacheStaysCorrectUnderEviction) {
