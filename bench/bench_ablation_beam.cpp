@@ -5,7 +5,7 @@
 //  (2) Result mode: Beam_FX (fixed-dimensionality output, the paper's
 //      comparison variant) vs. the original global-best list.
 //
-// Usage: bench_ablation_beam [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_ablation_beam [--full] [--seed N]
 
 #include "bench_util.h"
 

@@ -12,8 +12,7 @@
 //  (2) explanation quality: MAP of Beam paired with each detector;
 //  (3) Fast vs exact ABOD ranking agreement.
 //
-// Usage: bench_ablation_detectors [--full] [--seed N] [--threads N]
-//                                 [--no-cache]
+// Usage: bench_ablation_detectors [--full] [--seed N]
 
 #include <memory>
 

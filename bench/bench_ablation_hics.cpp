@@ -8,7 +8,7 @@
 //  (3) Candidate cutoff: the paper uses 400; how small can it get before
 //      the stage-wise search loses the planted subspaces?
 //
-// Usage: bench_ablation_hics [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_ablation_hics [--full] [--seed N]
 
 #include "bench_util.h"
 

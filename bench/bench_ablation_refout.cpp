@@ -7,7 +7,7 @@
 //      dataset's dimensionality; smaller projections make outliers easier
 //      to see but cover candidate subspaces less often.
 //
-// Usage: bench_ablation_refout [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_ablation_refout [--full] [--seed N]
 
 #include "bench_util.h"
 

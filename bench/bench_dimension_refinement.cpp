@@ -9,8 +9,7 @@
 // subspaces from padded ones. This bench quantifies the MAP improvement
 // and the extra cost (|S|+1 detector calls per refined candidate).
 //
-// Usage: bench_dimension_refinement [--full] [--seed N] [--threads N]
-//                                   [--no-cache]
+// Usage: bench_dimension_refinement [--full] [--seed N]
 
 #include <memory>
 

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace subex;
-  const TestbedProfile profile = bench::ParseProfile(
+  const TestbedProfile profile = bench::ParseServingProfile(
       argc, argv, "Figure 10: MAP of explanation summarization pipelines");
   ThreadPool pool(static_cast<std::size_t>(profile.num_threads));
   const std::vector<TestbedDataset> suite =

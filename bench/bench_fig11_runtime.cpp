@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   std::string profile_out;
   int profile_hz = 0;
   int metrics_port = -1;
-  TestbedProfile profile = bench::ParseProfile(
+  TestbedProfile profile = bench::ParseServingProfile(
       argc, argv, "Figure 11: runtime of detection & explanation pipelines",
       [&](bench::FlagParser& flags) {
         flags.Switch("--stats", &print_stats_json, "print per-dataset stats")

@@ -9,7 +9,7 @@
 //   70d: 22 subspaces                     (100 outliers, 10.0%)
 //  100d: 31 subspaces                     (143 outliers, 14.3%)
 //
-// Usage: bench_fig8_groundtruth [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_fig8_groundtruth [--full] [--seed N]
 
 #include <map>
 

@@ -7,8 +7,7 @@
 // cost — the quantity that motivates the paper's interest in cheaper
 // predictive explanations.
 //
-// Usage: bench_stream_drift [--full] [--seed N] [--threads N] [--no-cache]
-//                           [--json PATH]
+// Usage: bench_stream_drift [--full] [--seed N] [--json PATH]
 
 #include "bench_util.h"
 

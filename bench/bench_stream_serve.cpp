@@ -303,7 +303,8 @@ ExplainOutcome RunExplainClient(const StreamConfig& config,
 
 int main(int argc, char** argv) {
   StreamConfig config;
-  bench::FlagParser("Stream serve: online ingest + explain under drift.")
+  bench::FlagParser flags("Stream serve: online ingest + explain under drift.");
+  flags
       .Number("--clients", &config.clients, 1, bench::kMaxClients,
               "explain client threads")
       .Number("--duration-ms", &config.duration_ms, 1, 86400000, "run length")
@@ -326,6 +327,11 @@ int main(int argc, char** argv) {
               "wire deadline per request; 0 = none")
       .String("--wal-dir DIR", &config.wal_dir, "journal ingest to a WAL")
       .Parse(argc, argv);
+  std::vector<FaultSpecEntry> faults;
+  std::string spec_error;
+  if (!ParseFaultSpec(config.fault_spec, &faults, &spec_error)) {
+    flags.Fail("bad --fault-spec: " + spec_error);
+  }
 
   std::printf("== stream serve: online ingest + explain under drift ==\n");
   std::printf(
@@ -440,13 +446,10 @@ int main(int argc, char** argv) {
 
   // Arm the fault registry only for the chaos window: the warmup above and
   // the verification pass below both run clean.
-  if (!config.fault_spec.empty()) {
+  if (!faults.empty()) {
     FaultRegistry::Global().SetSeed(config.fault_seed);
-    std::string spec_error;
-    if (!FaultRegistry::Global().ConfigureFromSpec(config.fault_spec,
-                                                   &spec_error)) {
-      std::printf("bad --fault-spec: %s\n", spec_error.c_str());
-      return 1;
+    for (const FaultSpecEntry& fault : faults) {
+      FaultRegistry::Global().Arm(fault.point, fault.rule);
     }
   }
 

@@ -8,8 +8,7 @@
 // call + a CART fit) against Beam and RefOut (thousands of per-subspace
 // detector calls), plus the surrogate's score fidelity (R^2).
 //
-// Usage: bench_surrogate_explainer [--full] [--seed N] [--threads N]
-//                                  [--no-cache]
+// Usage: bench_surrogate_explainer [--full] [--seed N]
 
 #include "bench_util.h"
 

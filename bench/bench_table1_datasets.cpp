@@ -13,7 +13,7 @@
 //         relevant subspace, 5 outliers per relevant subspace, relevant
 //         feature ratio 35/21/12/7/5%.
 //
-// Usage: bench_table1_datasets [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_table1_datasets [--full] [--seed N]
 
 #include "bench_util.h"
 

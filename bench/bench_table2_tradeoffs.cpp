@@ -16,7 +16,7 @@
 //   5d:  Beam+LOF / LookOut+LOF | RefOut+LOF / LookOut+LOF (35%) |
 //        HiCS+LOF only (21,12%)
 //
-// Usage: bench_table2_tradeoffs [--full] [--seed N] [--threads N] [--no-cache]
+// Usage: bench_table2_tradeoffs [--full] [--seed N]
 
 #include <map>
 

@@ -155,23 +155,23 @@ inline constexpr int kMaxThreads = 1024;
 /// thread.
 inline constexpr int kMaxClients = 256;
 
-/// Parses the testbed-profile flags — `--full` (paper profile), `--seed N`,
-/// `--threads N` (ThreadPool size, 0 = hardware concurrency) and
-/// `--no-cache` (bypass the scoring service cache) — plus whatever
-/// `declare` adds, strictly (see flags.h: `--help` exits 0, any error exits
-/// 2, both before the bench does any work). Prints the profile banner.
-inline TestbedProfile ParseProfile(
-    int argc, char** argv, const char* title,
-    const std::function<void(FlagParser&)>& declare = {}) {
+namespace detail {
+
+inline TestbedProfile ParseProfileFlags(
+    int argc, char** argv, const char* title, bool serving,
+    const std::function<void(FlagParser&)>& declare) {
   TestbedProfile quick = TestbedProfile::Quick();
   bool full = false;
   bool no_cache = false;
   FlagParser flags(title);
   flags.Switch("--full", &full, "run the paper-scale profile of section 3.1")
-      .Number("--seed", &quick.seed, 0, UINT64_MAX, "dataset and detector seed")
-      .Number("--threads", &quick.num_threads, 0, kMaxThreads,
-              "scoring pool size; 0 = one thread per core")
-      .Switch("--no-cache", &no_cache, "bypass the score cache");
+      .Number("--seed", &quick.seed, 0, UINT64_MAX, "dataset and detector seed");
+  if (serving) {
+    flags
+        .Number("--threads", &quick.num_threads, 0, kMaxThreads,
+                "scoring pool size; 0 = one thread per core")
+        .Switch("--no-cache", &no_cache, "bypass the score cache");
+  }
   if (declare) declare(flags);
   flags.Parse(argc, argv);
 
@@ -188,10 +188,38 @@ inline TestbedProfile ParseProfile(
       profile.name == "quick"
           ? "; run with --full for the paper-scale configuration"
           : "");
-  std::printf("serving: %d thread(s)%s, score cache %s\n", profile.num_threads,
-              profile.num_threads == 0 ? " (auto)" : "",
-              profile.cache_scores ? "on (--no-cache to disable)" : "OFF");
+  if (serving) {
+    std::printf("serving: %d thread(s)%s, score cache %s\n",
+                profile.num_threads,
+                profile.num_threads == 0 ? " (auto)" : "",
+                profile.cache_scores ? "on (--no-cache to disable)" : "OFF");
+  }
   return profile;
+}
+
+}  // namespace detail
+
+/// Parses the testbed-profile flags — `--full` (paper profile) and
+/// `--seed N` — plus whatever `declare` adds, strictly (see flags.h:
+/// `--help` exits 0, any error exits 2, both before the bench does any
+/// work). Prints the profile banner. For benches that build no pool and no
+/// cached scoring service, so `--threads` and `--no-cache` are refused.
+inline TestbedProfile ParseProfile(
+    int argc, char** argv, const char* title,
+    const std::function<void(FlagParser&)>& declare = {}) {
+  return detail::ParseProfileFlags(argc, argv, title, /*serving=*/false,
+                                   declare);
+}
+
+/// `ParseProfile` plus `--threads N` (ThreadPool size, 0 = hardware
+/// concurrency) and `--no-cache` (bypass the scoring service cache), for
+/// the benches that build a pool and cached scoring services. The banner
+/// adds the serving line.
+inline TestbedProfile ParseServingProfile(
+    int argc, char** argv, const char* title,
+    const std::function<void(FlagParser&)>& declare = {}) {
+  return detail::ParseProfileFlags(argc, argv, title, /*serving=*/true,
+                                   declare);
 }
 
 /// Per-detector budget of detector invocations (subspace scorings) a single

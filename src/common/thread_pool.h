@@ -1,7 +1,6 @@
 #ifndef SUBEX_COMMON_THREAD_POOL_H_
 #define SUBEX_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -36,19 +35,40 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
   /// Runs `body(i)` for every `i` in `[0, count)`, blocking until all
   /// iterations complete. Iterations are distributed dynamically so uneven
   /// per-iteration cost (e.g. subspaces of different dimensionality) balances
-  /// out. `body` must be safe to call concurrently. If `body` throws, the
-  /// first exception is rethrown on the calling thread after all workers
-  /// drain (iterations not yet started may be skipped); the pool remains
-  /// usable. Must not be called from inside a pool task: the inner Wait
-  /// would block a worker on its own unfinished task.
+  /// out; the calling thread claims iterations too, and waits only for this
+  /// call's iterations, so calls may nest inside pool tasks and concurrent
+  /// callers never wait for each other's work. `body` must be safe to call
+  /// concurrently. If `body` throws, the first exception is rethrown on the
+  /// calling thread after every started iteration has finished (iterations
+  /// not yet started may be skipped); the pool remains usable.
   void ParallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& body);
+
+  /// The pool installed for the calling thread by its innermost open
+  /// `Scope`, or null.
+  static ThreadPool* Current();
+
+  /// `Current()->ParallelFor(count, body)` when the calling thread has a
+  /// current pool, a plain loop on the calling thread otherwise.
+  static void ParallelForOnCurrent(
+      std::size_t count, const std::function<void(std::size_t)>& body);
+
+  /// Installs `pool` (may be null) as the calling thread's current pool for
+  /// the scope's lifetime and restores the previous one on close.
+  class Scope {
+   public:
+    explicit Scope(ThreadPool* pool);
+    ~Scope();
+
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
 
  private:
   void WorkerLoop();
@@ -57,8 +77,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -68,18 +68,20 @@ PipelineResult RunPointExplanationPipeline(
 
   // Explain concurrently (explainers are deterministic per point and must
   // not mutate shared state), then score sequentially in point order so the
-  // result does not depend on the pool.
+  // result does not depend on the pool. Each explanation is a pool task
+  // that batches its own stages onto the same pool, through the scope.
   std::vector<RankedSubspaces> ranked(points.size());
   StageHistograms search("explain.search", explainer.name());
+  ThreadPool* pool = service.pool();
   const auto start = Clock::now();
   auto explain_one = [&](std::size_t i) {
+    const ThreadPool::Scope scope(pool);
     const auto point_start = Clock::now();
     ranked[i] = explainer.Explain(data, detector, points[i], explanation_dim);
     search.Record(
         static_cast<std::uint64_t>(SecondsSince(point_start) * 1e9));
   };
-  ThreadPool* pool = service.pool();
-  if (pool != nullptr && pool->num_threads() > 1) {
+  if (pool != nullptr) {
     pool->ParallelFor(points.size(), explain_one);
   } else {
     for (std::size_t i = 0; i < points.size(); ++i) explain_one(i);
@@ -115,8 +117,11 @@ PipelineResult RunSummarizationPipeline(
 
   StageHistograms search("explain.summarize", summarizer.name());
   const auto start = Clock::now();
-  const RankedSubspaces summary =
-      summarizer.Summarize(data, detector, all_points, explanation_dim);
+  RankedSubspaces summary;
+  {
+    const ThreadPool::Scope scope(service.pool());
+    summary = summarizer.Summarize(data, detector, all_points, explanation_dim);
+  }
   result.seconds = SecondsSince(start);
   search.Record(static_cast<std::uint64_t>(result.seconds * 1e9));
 

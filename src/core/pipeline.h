@@ -46,11 +46,13 @@ struct PipelineOptions {
 /// the ground truth restricted to that dimensionality.
 ///
 /// With a multi-worker pool on `service` the points are explained
-/// concurrently (single-flight deduplicates their overlapping subspace
-/// requests); scoring stays in point order, so the result does not depend
-/// on the pool. A service built with `enable_cache = false` and no pool
-/// computes every subspace afresh on the calling thread: the plain serial
-/// run whose `seconds` compare across explainers.
+/// concurrently, and each explanation installs the pool as its thread's
+/// `ThreadPool::Current()`, so the explainer scores each stage on it too
+/// (single-flight deduplicates overlapping subspace requests). Scoring
+/// stays in point order, so the result does not depend on the pool. A
+/// service built with `enable_cache = false` and no pool computes every
+/// subspace afresh on the calling thread: the plain serial run whose
+/// `seconds` compare across explainers.
 PipelineResult RunPointExplanationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,
     const PointExplainer& explainer, int explanation_dim,
@@ -58,7 +60,8 @@ PipelineResult RunPointExplanationPipeline(
 
 /// Runs a summarization pipeline (Figure 7, bottom path): hands the *full*
 /// point-of-interest set to `summarizer` once, then scores the returned
-/// summary against each point explained at `explanation_dim`. Use a
+/// summary against each point explained at `explanation_dim`. The
+/// service's pool is the current pool while `summarizer` runs. Use a
 /// service with `enable_cache = false` for an uncached run.
 PipelineResult RunSummarizationPipeline(
     ScoringService& service, const GroundTruth& ground_truth,

@@ -1,6 +1,7 @@
 #include "detect/detector.h"
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "detect/fast_abod.h"
 #include "detect/isolation_forest.h"
 #include "detect/lof.h"
@@ -14,6 +15,15 @@ std::vector<double> ScoreStandardized(const Detector& detector,
   std::vector<double> scores = detector.Score(data, subspace);
   if (detector.ReturnsStandardizedScores()) return scores;
   return Standardize(scores);
+}
+
+void ScoreStandardizedEach(
+    const Detector& detector, const Dataset& data,
+    std::span<const Subspace> subspaces,
+    const std::function<void(std::size_t, const std::vector<double>&)>& use) {
+  ThreadPool::ParallelForOnCurrent(subspaces.size(), [&](std::size_t i) {
+    use(i, ScoreStandardized(detector, data, subspaces[i]));
+  });
 }
 
 std::unique_ptr<Detector> MakeDetector(DetectorKind kind, std::uint64_t seed) {

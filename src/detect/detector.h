@@ -1,8 +1,11 @@
 #ifndef SUBEX_DETECT_DETECTOR_H_
 #define SUBEX_DETECT_DETECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +48,16 @@ class Detector {
 std::vector<double> ScoreStandardized(const Detector& detector,
                                       const Dataset& data,
                                       const Subspace& subspace);
+
+/// `ScoreStandardized` of every subspace of a batch (an explainer's stage,
+/// pool or candidate list), handing each vector to `use(i, scores)` for
+/// `subspaces[i]`. Runs on `ThreadPool::Current()` when the calling thread
+/// has one, serially otherwise, so `use` must be safe to call concurrently
+/// for distinct `i`; each `i` is visited exactly once, in no fixed order.
+void ScoreStandardizedEach(
+    const Detector& detector, const Dataset& data,
+    std::span<const Subspace> subspaces,
+    const std::function<void(std::size_t, const std::vector<double>&)>& use);
 
 /// The three detector families of the testbed.
 enum class DetectorKind {

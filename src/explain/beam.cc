@@ -1,9 +1,6 @@
 #include "explain/beam.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/topk.h"
 #include "subspace/enumeration.h"
 
 namespace subex {
@@ -19,65 +16,38 @@ RankedSubspaces Beam::Explain(const Dataset& data, const Detector& detector,
   SUBEX_CHECK(target_dim >= 2 && target_dim <= d);
   SUBEX_CHECK(point >= 0 && static_cast<std::size_t>(point) < data.num_points());
 
-  auto score_point = [&](const Subspace& s) {
-    return ScoreStandardized(detector, data, s)[point];
-  };
-
-  // Stage 1: exhaustive 2d scoring.
-  std::vector<Subspace> stage_subspaces = EnumerateSubspaces(d, 2);
-  std::vector<double> stage_scores(stage_subspaces.size());
-  for (std::size_t i = 0; i < stage_subspaces.size(); ++i) {
-    stage_scores[i] = score_point(stage_subspaces[i]);
-  }
-
+  // Each stage scores all its subspaces for the point as one batch, keeps
+  // the beam and, in global-best mode, remembers every survivor.
+  RankedSubspaces stage;
   RankedSubspaces global;
-  auto keep_stage_top = [&](std::size_t width) {
-    const std::vector<int> top = TopKIndices(stage_scores, width);
-    std::vector<Subspace> kept_subspaces;
-    std::vector<double> kept_scores;
-    kept_subspaces.reserve(top.size());
-    kept_scores.reserve(top.size());
-    for (int i : top) {
-      kept_subspaces.push_back(std::move(stage_subspaces[i]));
-      kept_scores.push_back(stage_scores[i]);
-    }
-    stage_subspaces = std::move(kept_subspaces);
-    stage_scores = std::move(kept_scores);
-  };
-
-  keep_stage_top(options_.beam_width);
-  if (options_.result_mode == ResultMode::kGlobalBest) {
-    for (std::size_t i = 0; i < stage_subspaces.size(); ++i) {
-      global.Add(stage_subspaces[i], stage_scores[i]);
-    }
-  }
-
-  // Later stages: extend survivors by one feature and rescore.
-  for (int dim = 3; dim <= target_dim; ++dim) {
-    std::vector<Subspace> candidates = ExtendByOneFeature(stage_subspaces, d);
-    stage_subspaces = std::move(candidates);
-    stage_scores.resize(stage_subspaces.size());
-    for (std::size_t i = 0; i < stage_subspaces.size(); ++i) {
-      stage_scores[i] = score_point(stage_subspaces[i]);
-    }
-    keep_stage_top(options_.beam_width);
+  auto run_stage = [&] {
+    stage.scores.resize(stage.size());
+    ScoreStandardizedEach(
+        detector, data, stage.subspaces,
+        [&](std::size_t i, const std::vector<double>& scores) {
+          stage.scores[i] = scores[point];
+        });
+    stage.KeepTop(options_.beam_width);
     if (options_.result_mode == ResultMode::kGlobalBest) {
-      for (std::size_t i = 0; i < stage_subspaces.size(); ++i) {
-        global.Add(stage_subspaces[i], stage_scores[i]);
+      for (std::size_t i = 0; i < stage.size(); ++i) {
+        global.Add(stage.subspaces[i], stage.scores[i]);
       }
     }
+  };
+
+  // Stage 1: exhaustive 2d scoring; later stages extend survivors by one
+  // feature and rescore.
+  stage.subspaces = EnumerateSubspaces(d, 2);
+  run_stage();
+  for (int dim = 3; dim <= target_dim; ++dim) {
+    stage.subspaces = ExtendByOneFeature(stage.subspaces, d);
+    run_stage();
   }
 
-  if (options_.result_mode == ResultMode::kGlobalBest) {
-    global.SortDescendingAndTruncate(options_.max_results);
-    return global;
-  }
-  RankedSubspaces result;
-  for (std::size_t i = 0; i < stage_subspaces.size(); ++i) {
-    result.Add(std::move(stage_subspaces[i]), stage_scores[i]);
-  }
+  RankedSubspaces& result =
+      options_.result_mode == ResultMode::kGlobalBest ? global : stage;
   result.SortDescendingAndTruncate(options_.max_results);
-  return result;
+  return std::move(result);
 }
 
 std::uint64_t Beam::CountScoredSubspaces(int num_features, int target_dim,

@@ -11,19 +11,19 @@ namespace subex {
 double DimensionalGain(const Dataset& data, const Detector& detector,
                        int point, const Subspace& subspace) {
   SUBEX_CHECK(subspace.size() >= 2);
-  const double full = ScoreStandardized(detector, data, subspace)[point];
-  double best_projection = -1e300;
-  for (FeatureId dropped : subspace.features()) {
-    std::vector<FeatureId> reduced;
-    reduced.reserve(subspace.size() - 1);
-    for (FeatureId f : subspace.features()) {
-      if (f != dropped) reduced.push_back(f);
-    }
-    const double projected =
-        ScoreStandardized(detector, data, Subspace(reduced))[point];
-    best_projection = std::max(best_projection, projected);
+  // One batch: the full subspace, then each projection dropping one feature.
+  std::vector<Subspace> batch{subspace};
+  for (std::size_t k = 0; k < subspace.size(); ++k) {
+    std::vector<FeatureId> reduced = subspace.features();
+    reduced.erase(reduced.begin() + static_cast<std::ptrdiff_t>(k));
+    batch.emplace_back(std::move(reduced));
   }
-  return full - best_projection;
+  std::vector<double> z(batch.size());
+  ScoreStandardizedEach(detector, data, batch,
+                        [&](std::size_t i, const std::vector<double>& scores) {
+                          z[i] = scores[point];
+                        });
+  return z[0] - *std::max_element(z.begin() + 1, z.end());
 }
 
 RankedSubspaces RefineByDimensionalGain(

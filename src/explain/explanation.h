@@ -28,6 +28,10 @@ struct RankedSubspaces {
   /// Sorts entries by descending score (stable, so producers' insertion
   /// order breaks ties deterministically) and truncates to `max_results`.
   void SortDescendingAndTruncate(std::size_t max_results);
+
+  /// Keeps the `k` best entries, best first, ties broken by position
+  /// (`TopKIndices`): a search stage's beam.
+  void KeepTop(std::size_t k);
 };
 
 }  // namespace subex

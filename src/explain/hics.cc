@@ -5,7 +5,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/topk.h"
+#include "common/thread_pool.h"
 #include "stats/descriptive.h"
 #include "subspace/enumeration.h"
 
@@ -91,60 +91,39 @@ RankedSubspaces Hics::Summarize(const Dataset& data, const Detector& detector,
   SUBEX_CHECK(target_dim >= 2 && target_dim <= d);
   SUBEX_CHECK(!points.empty());
 
-  // Stage 2: exhaustive contrast of all feature pairs.
-  std::vector<Subspace> stage = EnumerateSubspaces(d, 2);
-  std::vector<double> stage_contrast(stage.size());
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    stage_contrast[i] = Contrast(data, stage[i]);
-  }
-
-  auto keep_top = [&](int width) {
-    const std::vector<int> top =
-        TopKIndices(stage_contrast, static_cast<std::size_t>(width));
-    std::vector<Subspace> kept;
-    std::vector<double> kept_contrast;
-    kept.reserve(top.size());
-    kept_contrast.reserve(top.size());
-    for (int i : top) {
-      kept.push_back(std::move(stage[i]));
-      kept_contrast.push_back(stage_contrast[i]);
-    }
-    stage = std::move(kept);
-    stage_contrast = std::move(kept_contrast);
+  // Stage 2 holds every feature pair; later stages extend the survivors by
+  // one feature. Each stage measures all contrasts on the current pool and
+  // keeps the top `candidate_cutoff`.
+  RankedSubspaces stage;
+  auto run_stage = [&] {
+    stage.scores.resize(stage.size());
+    ThreadPool::ParallelForOnCurrent(stage.size(), [&](std::size_t i) {
+      stage.scores[i] = Contrast(data, stage.subspaces[i]);
+    });
+    stage.KeepTop(options_.candidate_cutoff);
   };
-  keep_top(options_.candidate_cutoff);
-
-  // Later stages: extend survivors by one feature and re-measure contrast.
+  stage.subspaces = EnumerateSubspaces(d, 2);
+  run_stage();
   for (int dim = 3; dim <= target_dim; ++dim) {
-    std::vector<Subspace> candidates = ExtendByOneFeature(stage, d);
-    stage = std::move(candidates);
-    stage_contrast.resize(stage.size());
-    for (std::size_t i = 0; i < stage.size(); ++i) {
-      stage_contrast[i] = Contrast(data, stage[i]);
-    }
-    keep_top(options_.candidate_cutoff);
+    stage.subspaces = ExtendByOneFeature(stage.subspaces, d);
+    run_stage();
   }
 
   // _FX output: subspaces of exactly target_dim, top max_results by
-  // contrast, finally ordered per the configured ranking.
-  keep_top(options_.max_results);
-  RankedSubspaces result;
-  if (options_.ranking == Ranking::kContrast) {
-    for (std::size_t i = 0; i < stage.size(); ++i) {
-      result.Add(std::move(stage[i]), stage_contrast[i]);
-    }
-  } else {
-    for (Subspace& candidate : stage) {
-      const std::vector<double> scores =
-          ScoreStandardized(detector, data, candidate);
-      double sum = 0.0;
-      for (int p : points) sum += scores[p];
-      result.Add(std::move(candidate),
-                 sum / static_cast<double>(points.size()));
-    }
+  // contrast, finally ordered per the configured ranking: by contrast, or
+  // by the points' mean standardized score, scored as one batch.
+  stage.KeepTop(options_.max_results);
+  if (options_.ranking == Ranking::kDetector) {
+    ScoreStandardizedEach(
+        detector, data, stage.subspaces,
+        [&](std::size_t i, const std::vector<double>& scores) {
+          double sum = 0.0;
+          for (int p : points) sum += scores[p];
+          stage.scores[i] = sum / static_cast<double>(points.size());
+        });
   }
-  result.SortDescendingAndTruncate(options_.max_results);
-  return result;
+  stage.SortDescendingAndTruncate(options_.max_results);
+  return stage;
 }
 
 }  // namespace subex

@@ -36,17 +36,17 @@ RankedSubspaces LookOut::Summarize(const Dataset& data,
 
   // Score matrix: outlier-point x candidate, z-standardized per candidate
   // subspace and clamped at 0 (a point a subspace does not flag contributes
-  // no utility).
+  // no utility). Only the points' rows of each score vector are kept.
   const std::size_t num_points = points.size();
   const std::size_t num_candidates = candidates.size();
   std::vector<double> gains(num_points * num_candidates);
-  for (std::size_t j = 0; j < num_candidates; ++j) {
-    const std::vector<double> scores =
-        ScoreStandardized(detector, data, candidates[j]);
-    for (std::size_t i = 0; i < num_points; ++i) {
-      gains[i * num_candidates + j] = std::max(0.0, scores[points[i]]);
-    }
-  }
+  ScoreStandardizedEach(
+      detector, data, candidates,
+      [&](std::size_t j, const std::vector<double>& scores) {
+        for (std::size_t i = 0; i < num_points; ++i) {
+          gains[i * num_candidates + j] = std::max(0.0, scores[points[i]]);
+        }
+      });
 
   // Greedy submodular maximization of f(S) = sum_i max_{j in S} score_ij.
   std::vector<double> best_so_far(num_points, 0.0);

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/topk.h"
 #include "subspace/enumeration.h"
 
 namespace subex {
@@ -34,9 +33,10 @@ RankedSubspaces RefOut::Explain(const Dataset& data, const Detector& detector,
   const std::vector<Subspace> pool =
       SampleRandomSubspaces(d, projection_dim, options_.pool_size, rng);
   std::vector<double> pool_scores(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    pool_scores[i] = ScoreStandardized(detector, data, pool[i])[point];
-  }
+  ScoreStandardizedEach(detector, data, pool,
+                        [&](std::size_t i, const std::vector<double>& scores) {
+                          pool_scores[i] = scores[point];
+                        });
 
   // Discrepancy of the score populations of pool members that contain vs.
   // do not contain the candidate. For Welch the statistic is kept signed
@@ -55,41 +55,21 @@ RankedSubspaces RefOut::Explain(const Dataset& data, const Detector& detector,
     return std::isfinite(r.statistic) ? r.statistic : 0.0;
   };
 
-  // Stage 1: single features.
-  std::vector<Subspace> stage;
-  std::vector<double> stage_disc;
-  stage.reserve(d);
-  for (FeatureId f = 0; f < d; ++f) stage.emplace_back(Subspace({f}));
-  stage_disc.resize(stage.size());
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    stage_disc[i] = discrepancy(stage[i]);
-  }
-
-  auto keep_top = [&](int width) {
-    const std::vector<int> top =
-        TopKIndices(stage_disc, static_cast<std::size_t>(width));
-    std::vector<Subspace> kept;
-    std::vector<double> kept_disc;
-    kept.reserve(top.size());
-    kept_disc.reserve(top.size());
-    for (int i : top) {
-      kept.push_back(std::move(stage[i]));
-      kept_disc.push_back(stage_disc[i]);
-    }
-    stage = std::move(kept);
-    stage_disc = std::move(kept_disc);
-  };
-  keep_top(options_.beam_width);
-
-  // Stages 2..target_dim: cross survivors with all single features.
-  for (int dim = 2; dim <= target_dim; ++dim) {
-    std::vector<Subspace> candidates = ExtendByOneFeature(stage, d);
-    stage = std::move(candidates);
-    stage_disc.resize(stage.size());
+  // Stage 1 holds the single features; stages 2..target_dim cross the
+  // survivors with all single features. Each stage keeps the beam.
+  RankedSubspaces stage;
+  auto run_stage = [&] {
+    stage.scores.resize(stage.size());
     for (std::size_t i = 0; i < stage.size(); ++i) {
-      stage_disc[i] = discrepancy(stage[i]);
+      stage.scores[i] = discrepancy(stage.subspaces[i]);
     }
-    keep_top(options_.beam_width);
+    stage.KeepTop(options_.beam_width);
+  };
+  for (FeatureId f = 0; f < d; ++f) stage.subspaces.emplace_back(Subspace({f}));
+  run_stage();
+  for (int dim = 2; dim <= target_dim; ++dim) {
+    stage.subspaces = ExtendByOneFeature(stage.subspaces, d);
+    run_stage();
   }
 
   // Final ranking: by the discrepancy statistic itself. (Ranking by the
@@ -98,13 +78,8 @@ RankedSubspaces RefOut::Explain(const Dataset& data, const Detector& detector,
   // saturates at sqrt(n / #deviants) -- burying relevant subspaces that
   // explain several outliers. The pool discrepancy does not suffer from
   // this because irrelevant padding features dilute it.)
-  keep_top(options_.max_results);
-  RankedSubspaces result;
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    result.Add(std::move(stage[i]), stage_disc[i]);
-  }
-  result.SortDescendingAndTruncate(options_.max_results);
-  return result;
+  stage.KeepTop(options_.max_results);
+  return stage;
 }
 
 }  // namespace subex

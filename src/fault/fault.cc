@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -88,6 +89,69 @@ std::string FaultStats::ToJson() const {
       .Add("injected", injected)
       .AddRaw("points", points_json.Build());
   return out.Build();
+}
+
+bool ParseFaultSpec(const std::string& spec,
+                    std::vector<FaultSpecEntry>* entries, std::string* error) {
+  const auto fail = [&](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  // Every piece of `text` between `sep`s, empty ones included.
+  const auto split = [](const std::string& text, char sep) {
+    std::vector<std::string> pieces;
+    std::size_t begin = 0;
+    for (std::size_t end = text.find(sep); end != std::string::npos;
+         begin = end + 1, end = text.find(sep, begin)) {
+      pieces.push_back(text.substr(begin, end - begin));
+    }
+    pieces.push_back(text.substr(begin));
+    return pieces;
+  };
+  std::vector<FaultSpecEntry> parsed;
+  for (const std::string& entry : split(spec, ';')) {
+    if (entry.empty()) continue;
+    const std::size_t eq = entry.find('=');
+    if (eq == std::string::npos) {
+      return fail("fault spec entry missing '=': " + entry);
+    }
+    FaultSpecEntry& out = parsed.emplace_back();
+    if (!ParseFaultPoint(entry.substr(0, eq), &out.point)) {
+      return fail("unknown fault point: " + entry.substr(0, eq));
+    }
+    // probability[:after=N][:limit=N][:action=...]
+    const std::vector<std::string> fields = split(entry.substr(eq + 1), ':');
+    char* parse_end = nullptr;
+    out.rule.probability = std::strtod(fields[0].c_str(), &parse_end);
+    if (fields[0].empty() || *parse_end != '\0' ||
+        out.rule.probability < 0.0 || out.rule.probability > 1.0) {
+      return fail("bad fault probability: " + fields[0]);
+    }
+    for (std::size_t f = 1; f < fields.size(); ++f) {
+      const std::string& field = fields[f];
+      const std::size_t field_eq = field.find('=');
+      if (field_eq == std::string::npos) {
+        return fail("bad fault rule field: " + field);
+      }
+      const std::string key = field.substr(0, field_eq);
+      const std::string value = field.substr(field_eq + 1);
+      if (key == "after" || key == "limit") {
+        (key == "after" ? out.rule.after : out.rule.limit) =
+            std::strtoull(value.c_str(), &parse_end, 10);
+        if (value.empty() || *parse_end != '\0') {
+          return fail("bad fault rule count: " + field);
+        }
+      } else if (key == "action") {
+        if (!ParseFaultAction(value, &out.rule.action)) {
+          return fail("bad fault action: " + value);
+        }
+      } else {
+        return fail("unknown fault rule field: " + key);
+      }
+    }
+  }
+  if (entries != nullptr) *entries = std::move(parsed);
+  return true;
 }
 
 FaultRegistry& FaultRegistry::Global() {
@@ -178,70 +242,9 @@ bool FaultRegistry::EvaluateSlow(FaultPoint point, FaultAction* action) {
 
 bool FaultRegistry::ConfigureFromSpec(const std::string& spec,
                                       std::string* error) {
-  const auto fail = [&](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t end = spec.find(';', pos);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (entry.empty()) continue;
-
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      return fail("fault spec entry missing '=': " + entry);
-    }
-    FaultPoint point;
-    if (!ParseFaultPoint(entry.substr(0, eq), &point)) {
-      return fail("unknown fault point: " + entry.substr(0, eq));
-    }
-    // probability[:after=N][:limit=N][:action=...]
-    const std::string rest = entry.substr(eq + 1);
-    std::size_t field_pos = 0;
-    FaultRule rule;
-    bool first = true;
-    while (field_pos <= rest.size()) {
-      std::size_t field_end = rest.find(':', field_pos);
-      if (field_end == std::string::npos) field_end = rest.size();
-      const std::string field = rest.substr(field_pos, field_end - field_pos);
-      field_pos = field_end + 1;
-      if (first) {
-        first = false;
-        char* parse_end = nullptr;
-        rule.probability = std::strtod(field.c_str(), &parse_end);
-        if (field.empty() || parse_end == nullptr || *parse_end != '\0' ||
-            rule.probability < 0.0 || rule.probability > 1.0) {
-          return fail("bad fault probability: " + field);
-        }
-        continue;
-      }
-      const std::size_t field_eq = field.find('=');
-      if (field_eq == std::string::npos) {
-        return fail("bad fault rule field: " + field);
-      }
-      const std::string key = field.substr(0, field_eq);
-      const std::string value = field.substr(field_eq + 1);
-      if (key == "after" || key == "limit") {
-        char* parse_end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(value.c_str(), &parse_end, 10);
-        if (value.empty() || parse_end == nullptr || *parse_end != '\0') {
-          return fail("bad fault rule count: " + field);
-        }
-        (key == "after" ? rule.after : rule.limit) = parsed;
-      } else if (key == "action") {
-        if (!ParseFaultAction(value, &rule.action)) {
-          return fail("bad fault action: " + value);
-        }
-      } else {
-        return fail("unknown fault rule field: " + key);
-      }
-    }
-    Arm(point, rule);
-  }
+  std::vector<FaultSpecEntry> entries;
+  if (!ParseFaultSpec(spec, &entries, error)) return false;
+  for (const FaultSpecEntry& entry : entries) Arm(entry.point, entry.rule);
   return true;
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace subex {
 
@@ -72,6 +73,22 @@ struct FaultRule {
   FaultAction action = FaultAction::kFail;
 };
 
+/// One `name=rule` entry of a fault spec.
+struct FaultSpecEntry {
+  FaultPoint point;
+  FaultRule rule;
+};
+
+/// Parses a spec like
+/// `socket_read=0.01;wal_append=1:after=10:limit=1;socket_write=0.05:action=short`
+/// into `*entries` without arming anything. Each `;`-separated entry is
+/// `name=probability[:after=N][:limit=N][:action=fail|eintr|short]`.
+/// Returns false (and sets `*error`) on the first malformed entry; `entries`
+/// may be null to only validate.
+bool ParseFaultSpec(const std::string& spec,
+                    std::vector<FaultSpecEntry>* entries,
+                    std::string* error = nullptr);
+
 /// Per-point counters plus process totals, for `kStats` and tests.
 struct FaultPointStats {
   std::uint64_t evaluations = 0;
@@ -110,12 +127,8 @@ class FaultRegistry {
   void SetSeed(std::uint64_t seed);
   std::uint64_t seed() const { return seed_.load(std::memory_order_relaxed); }
 
-  /// Parses a spec like
-  /// `socket_read=0.01;wal_append=1:after=10:limit=1;socket_write=0.05:action=short`
-  /// and arms the listed points. Each `;`-separated entry is
-  /// `name=probability[:after=N][:limit=N][:action=fail|eintr|short]`.
-  /// Returns false (and sets `*error`) on the first malformed entry;
-  /// entries before it stay armed.
+  /// Arms every point of a `ParseFaultSpec` spec, or none: returns false
+  /// (and sets `*error`) when any entry is malformed.
   bool ConfigureFromSpec(const std::string& spec, std::string* error = nullptr);
 
   /// Reads `SUBEX_FAULT_SEED` (u64) and `SUBEX_FAULT_SPEC` (spec grammar

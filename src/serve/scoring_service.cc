@@ -161,7 +161,7 @@ std::vector<ScoreVectorPtr> ScoringService::ScoreMany(
     ScoreVectorPtr v = Score(*unique[u]);
     for (std::size_t i : *fan_out[u]) results[i] = v;
   };
-  if (pool_ != nullptr && pool_->num_threads() > 1 && unique.size() > 1) {
+  if (pool_ != nullptr) {
     pool_->ParallelFor(unique.size(), score_one);
   } else {
     for (std::size_t u = 0; u < unique.size(); ++u) score_one(u);

@@ -47,12 +47,4 @@ ServiceStatsSnapshot ServiceStats::snapshot() const {
   return s;
 }
 
-void ServiceStats::Reset() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  dedup_joins_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  compute_ns_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace subex

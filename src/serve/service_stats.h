@@ -53,8 +53,6 @@ class ServiceStats {
   }
 
   ServiceStatsSnapshot snapshot() const;
-  /// Zeroes every counter (e.g. between benchmark phases).
-  void Reset();
 
  private:
   std::atomic<std::uint64_t> hits_{0};

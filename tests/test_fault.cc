@@ -135,6 +135,38 @@ TEST(Fault, SpecRejectsMalformedEntries) {
       "socket_read=1:frobnicate=2", &error));
 }
 
+TEST(Fault, BadSecondEntryLeavesNoPointArmed) {
+  FaultControl control;
+  std::string error;
+  EXPECT_FALSE(FaultRegistry::Global().ConfigureFromSpec(
+      "socket_read=1;wal_append=1:after=x", &error));
+  EXPECT_NE(error.find("after=x"), std::string::npos) << error;
+  EXPECT_FALSE(FaultRegistry::Global().any_armed());
+  for (const FaultPointStats& point : FaultRegistry::Global().stats().points) {
+    EXPECT_FALSE(point.armed);
+  }
+  EXPECT_FALSE(SUBEX_FAULT(FaultPoint::kSocketRead, nullptr));
+}
+
+TEST(Fault, ParseFaultSpecArmsNothing) {
+  FaultControl control;
+  std::vector<FaultSpecEntry> entries;
+  std::string error;
+  ASSERT_TRUE(ParseFaultSpec("socket_read=0.5:after=3;;wal_append=1:limit=1",
+                             &entries, &error))
+      << error;
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].point, FaultPoint::kSocketRead);
+  EXPECT_EQ(entries[0].rule.probability, 0.5);
+  EXPECT_EQ(entries[0].rule.after, 3u);
+  EXPECT_EQ(entries[1].point, FaultPoint::kWalAppend);
+  EXPECT_EQ(entries[1].rule.limit, 1u);
+  EXPECT_FALSE(FaultRegistry::Global().any_armed());
+  EXPECT_TRUE(ParseFaultSpec("", &entries));
+  EXPECT_TRUE(entries.empty());
+  EXPECT_FALSE(ParseFaultSpec("socket_read=2", nullptr, &error));
+}
+
 TEST(Fault, PointNamesRoundTrip) {
   for (std::size_t i = 0; i < kNumFaultPoints; ++i) {
     const FaultPoint point = static_cast<FaultPoint>(i);

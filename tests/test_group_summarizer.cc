@@ -95,7 +95,9 @@ TEST(GroupSummarizerTest, SortedLargestFirstAndDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].points, b[i].points);
     EXPECT_EQ(a[i].characterizing_subspaces, b[i].characterizing_subspaces);
-    if (i > 0) EXPECT_GE(a[i - 1].points.size(), a[i].points.size());
+    if (i > 0) {
+      EXPECT_GE(a[i - 1].points.size(), a[i].points.size());
+    }
   }
 }
 

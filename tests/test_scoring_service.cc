@@ -261,7 +261,7 @@ TEST(ScoringServiceTest, TinyCacheStaysCorrectUnderEviction) {
   EXPECT_GT(service.stats().evictions, 0u);
 }
 
-TEST(ServiceStatsTest, SnapshotAndReset) {
+TEST(ServiceStatsTest, SnapshotCountsAndFormats) {
   ServiceStats stats;
   stats.RecordHit();
   stats.RecordHit();
@@ -269,7 +269,7 @@ TEST(ServiceStatsTest, SnapshotAndReset) {
   stats.RecordDedupJoin();
   stats.RecordEviction();
   stats.RecordComputeNs(1500000000ull);
-  ServiceStatsSnapshot snap = stats.snapshot();
+  const ServiceStatsSnapshot snap = stats.snapshot();
   EXPECT_EQ(snap.hits, 2u);
   EXPECT_EQ(snap.misses, 1u);
   EXPECT_EQ(snap.dedup_joins, 1u);
@@ -281,10 +281,6 @@ TEST(ServiceStatsTest, SnapshotAndReset) {
   EXPECT_EQ(snap.ToJson(),
             "{\"hits\":2,\"misses\":1,\"dedup_joins\":1,\"evictions\":1,"
             "\"requests\":4,\"hit_rate\":0.75,\"compute_seconds\":1.5}");
-  stats.Reset();
-  snap = stats.snapshot();
-  EXPECT_EQ(snap.Requests(), 0u);
-  EXPECT_EQ(snap.HitRate(), 0.0);
 }
 
 }  // namespace
