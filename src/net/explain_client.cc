@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "common/json.h"
 #include "obs/span_collector.h"
@@ -160,13 +161,13 @@ std::uint64_t ExplainClient::BeginTrace() {
 }
 
 void ExplainClient::RecordClientSpan(
-    const char* name, std::uint64_t trace_id,
+    const char* label, std::uint64_t trace_id,
     std::chrono::steady_clock::time_point start) {
 #ifndef SUBEX_OBS_DISABLED
   if (trace_id == 0 || !SpanCollector::Global().enabled()) return;
   const auto duration = std::chrono::steady_clock::now() - start;
   SpanRecord record;
-  record.name = name;
+  record.name = std::string("client.") + label;
   record.trace_id = trace_id;
   record.span_id = NextSpanId();
   record.parent_id = 0;
@@ -178,7 +179,7 @@ void ExplainClient::RecordClientSpan(
       std::chrono::duration_cast<std::chrono::nanoseconds>(duration).count());
   SpanCollector::Global().Record(record);
 #else
-  (void)name;
+  (void)label;
   (void)trace_id;
   (void)start;
 #endif
@@ -246,31 +247,34 @@ ClientStatus ExplainClient::RoundTrip(const std::vector<std::uint8_t>& request,
   return ClientStatus::kBusy;
 }
 
-template <typename Encode, typename Decode>
-ClientStatus ExplainClient::Call(const char* name, bool traced,
-                                 MessageType expected, const Encode& encode,
-                                 const Decode& decode, std::string* error) {
-  const std::uint64_t id = next_request_id_++;
+template <typename Request>
+ClientStatus ExplainClient::Call(const Request& request,
+                                 typename Request::Reply* reply,
+                                 std::string* error) {
   // Control traffic (TraceDump, Prof*) stays untraced: the dump itself
   // shouldn't pollute the dump, nor the profile.
-  const std::uint64_t trace_id = traced ? BeginTrace() : 0;
-  const std::uint32_t deadline_ms = traced ? options_.deadline_ms : 0;
+  constexpr bool kTraced = !std::is_same_v<Request, TraceDumpRequest> &&
+                           !std::is_same_v<Request, ProfDumpRequest>;
+  const std::uint64_t id = next_request_id_++;
+  const std::uint64_t trace_id = kTraced ? BeginTrace() : 0;
+  const std::uint32_t deadline_ms = kTraced ? options_.deadline_ms : 0;
   MessageType type = MessageType::kError;
   std::vector<std::uint8_t> body;
   const auto start = std::chrono::steady_clock::now();
-  const ClientStatus status = RoundTrip(encode(id, trace_id, deadline_ms), id,
-                                        &type, &body, error);
-  RecordClientSpan(name, trace_id, start);
+  const ClientStatus status = RoundTrip(
+      Encode(Request::kKind.type, id, request, trace_id, deadline_ms), id,
+      &type, &body, error);
+  RecordClientSpan(Request::kKind.label, trace_id, start);
   if (status != ClientStatus::kOk) return status;
   WireReader reader(body);
   if (type == MessageType::kError) {
     TextResult text;
-    *error = DecodeTextResult(reader, &text) ? text.text
-                                             : "undecodable kError body";
+    *error = Decode(reader, &text) ? text.text : "undecodable kError body";
     return ClientStatus::kServerError;
   }
-  if (type != expected || !decode(reader)) {
-    *error = std::string("unexpected response to ") + name;
+  if (type != Request::kKind.reply_type || !Decode(reader, reply)) {
+    *error = std::string("unexpected response to client.") +
+             Request::kKind.label;
     return ClientStatus::kTransportError;
   }
   return ClientStatus::kOk;
@@ -278,16 +282,9 @@ ClientStatus ExplainClient::Call(const char* name, bool traced,
 
 ExplainClient::ScoreReply ExplainClient::Score(const std::string& detector,
                                                const Subspace& subspace) {
-  const ScoreRequest request{detector, subspace};
   ScoreResult result;
   ScoreReply reply;
-  reply.status = Call(
-      "client.score", true, MessageType::kScoreResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeScoreRequest(id, request, trace_id, deadline);
-      },
-      [&](WireReader& reader) { return DecodeScoreResult(reader, &result); },
-      &reply.error);
+  reply.status = Call(ScoreRequest{detector, subspace}, &result, &reply.error);
   if (reply.ok()) reply.scores = std::move(result.scores);
   return reply;
 }
@@ -296,17 +293,11 @@ ExplainClient::ExplainReply ExplainClient::Explain(const std::string& detector,
                                                    const std::string& explainer,
                                                    int point, int target_dim,
                                                    std::uint32_t max_results) {
-  const ExplainRequest request{detector, explainer, point, target_dim,
-                               max_results};
   ExplainResult result;
   ExplainReply reply;
   reply.status = Call(
-      "client.explain", true, MessageType::kExplainResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeExplainRequest(id, request, trace_id, deadline);
-      },
-      [&](WireReader& reader) { return DecodeExplainResult(reader, &result); },
-      &reply.error);
+      ExplainRequest{detector, explainer, point, target_dim, max_results},
+      &result, &reply.error);
   if (reply.ok()) reply.ranking = std::move(result.ranking);
   return reply;
 }
@@ -314,13 +305,7 @@ ExplainClient::ExplainReply ExplainClient::Explain(const std::string& detector,
 ExplainClient::StatsReply ExplainClient::Stats() {
   TextResult result;
   StatsReply reply;
-  reply.status = Call(
-      "client.stats", true, MessageType::kStatsResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeStatsRequest(id, trace_id, deadline);
-      },
-      [&](WireReader& reader) { return DecodeTextResult(reader, &result); },
-      &reply.error);
+  reply.status = Call(StatsRequest{}, &result, &reply.error);
   if (reply.ok()) reply.json = std::move(result.text);
   return reply;
 }
@@ -328,35 +313,19 @@ ExplainClient::StatsReply ExplainClient::Stats() {
 ExplainClient::IngestReply ExplainClient::Ingest(const std::string& dataset,
                                                  std::uint32_t num_rows,
                                                  std::vector<double> values) {
-  const IngestRequest request{dataset, num_rows, std::move(values)};
   IngestReply reply;
-  reply.status = Call(
-      "client.ingest", true, MessageType::kIngestResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeIngestRequest(id, request, trace_id, deadline);
-      },
-      [&](WireReader& reader) {
-        return DecodeIngestResult(reader, &reply.result);
-      },
-      &reply.error);
+  reply.status = Call(IngestRequest{dataset, num_rows, std::move(values)},
+                      &reply.result, &reply.error);
   return reply;
 }
 
 ExplainClient::OnlineScoreReply ExplainClient::OnlineScore(
     const std::string& dataset, const std::string& detector,
     const Subspace& subspace) {
-  const OnlineScoreRequest request{dataset, detector, subspace};
   OnlineScoreResult result;
   OnlineScoreReply reply;
-  reply.status = Call(
-      "client.online_score", true, MessageType::kOnlineScoreResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeOnlineScoreRequest(id, request, trace_id, deadline);
-      },
-      [&](WireReader& reader) {
-        return DecodeOnlineScoreResult(reader, &result);
-      },
-      &reply.error);
+  reply.status = Call(OnlineScoreRequest{dataset, detector, subspace}, &result,
+                      &reply.error);
   if (reply.ok()) {
     reply.epoch = result.epoch;
     reply.scores = std::move(result.scores);
@@ -368,19 +337,11 @@ ExplainClient::OnlineExplainReply ExplainClient::OnlineExplain(
     const std::string& dataset, const std::string& detector,
     const std::string& explainer, int point, int target_dim,
     std::uint32_t max_results) {
-  const OnlineExplainRequest request{dataset,    detector,   explainer,
-                                     point,      target_dim, max_results};
   OnlineExplainResult result;
   OnlineExplainReply reply;
-  reply.status = Call(
-      "client.online_explain", true, MessageType::kOnlineExplainResult,
-      [&](std::uint64_t id, std::uint64_t trace_id, std::uint32_t deadline) {
-        return EncodeOnlineExplainRequest(id, request, trace_id, deadline);
-      },
-      [&](WireReader& reader) {
-        return DecodeOnlineExplainResult(reader, &result);
-      },
-      &reply.error);
+  reply.status = Call(OnlineExplainRequest{dataset, detector, explainer, point,
+                                           target_dim, max_results},
+                      &result, &reply.error);
   if (reply.ok()) {
     reply.computed_epoch = result.computed_epoch;
     reply.current_epoch = result.current_epoch;
@@ -390,31 +351,18 @@ ExplainClient::OnlineExplainReply ExplainClient::OnlineExplain(
 }
 
 ExplainClient::TraceDumpReply ExplainClient::TraceDump(bool clear) {
-  const TraceDumpRequest request{clear};
   TextResult result;
   TraceDumpReply reply;
-  reply.status = Call(
-      "client.trace_dump", false, MessageType::kTraceDumpResult,
-      [&](std::uint64_t id, std::uint64_t, std::uint32_t) {
-        return EncodeTraceDumpRequest(id, request);
-      },
-      [&](WireReader& reader) { return DecodeTextResult(reader, &result); },
-      &reply.error);
+  reply.status = Call(TraceDumpRequest{clear}, &result, &reply.error);
   if (reply.ok()) reply.json = std::move(result.text);
   return reply;
 }
 
 ExplainClient::ProfDumpReply ExplainClient::ProfRoundTrip(
     const ProfDumpRequest& request) {
-  ProfDumpResult result;
+  TextResult result;
   ProfDumpReply reply;
-  reply.status = Call(
-      "client.prof", false, MessageType::kProfDumpResult,
-      [&](std::uint64_t id, std::uint64_t, std::uint32_t) {
-        return EncodeProfDumpRequest(id, request);
-      },
-      [&](WireReader& reader) { return DecodeProfDumpResult(reader, &result); },
-      &reply.error);
+  reply.status = Call(request, &result, &reply.error);
   if (reply.ok()) reply.text = std::move(result.text);
   return reply;
 }

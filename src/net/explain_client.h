@@ -135,7 +135,7 @@ class ExplainClient {
     ClientStatus status = ClientStatus::kTransportError;
     std::string error;
     /// Collapsed flamegraph stacks (`kDump`) or a status JSON
-    /// (`kStart`/`kStop`); see `ProfDumpResult`.
+    /// (`kStart`/`kStop`).
     std::string text;
     bool ok() const { return status == ClientStatus::kOk; }
   };
@@ -220,24 +220,23 @@ class ExplainClient {
   bool SendAndReceive(const std::vector<std::uint8_t>& request,
                       std::uint64_t request_id, MessageHeader* header,
                       std::vector<std::uint8_t>* body, std::string* error);
-  /// The one typed round trip behind every public call. Encodes the
-  /// request as `encode(request_id, trace_id, deadline_ms)` — with a fresh
-  /// trace id and the options' deadline when `traced`, neither otherwise —
-  /// runs `RoundTrip`, records the `name` span, maps `kError` to
-  /// `kServerError` and hands an `expected`-typed body to `decode`. Any
-  /// other reply type, or a body `decode` rejects, is `kTransportError`.
-  template <typename Encode, typename Decode>
-  ClientStatus Call(const char* name, bool traced, MessageType expected,
-                    const Encode& encode, const Decode& decode,
+  /// The one typed round trip behind every public call. Encodes `request`
+  /// — with a fresh trace id and the options' deadline, except for the
+  /// `kTraceDump`/`kProfDump` control traffic — runs `RoundTrip`, records
+  /// the `client.<label>` span, maps `kError` to `kServerError` and decodes
+  /// a reply of the request's reply type into `*reply`. Any other reply
+  /// type, or a body that does not decode, is `kTransportError`.
+  template <typename Request>
+  ClientStatus Call(const Request& request, typename Request::Reply* reply,
                     std::string* error);
   /// Shared body of the three `Prof*` calls.
   ProfDumpReply ProfRoundTrip(const ProfDumpRequest& request);
   /// Fresh trace id when tracing is on (also remembered in
   /// `last_trace_id_`); 0 otherwise.
   std::uint64_t BeginTrace();
-  /// Records the finished "client.request" span covering one round trip
+  /// Records the finished "client.<label>" span covering one round trip
   /// (no-op when the collector is disabled or `trace_id` is 0).
-  void RecordClientSpan(const char* name, std::uint64_t trace_id,
+  void RecordClientSpan(const char* label, std::uint64_t trace_id,
                         std::chrono::steady_clock::time_point start);
 
   /// Transport success/failure bookkeeping shared by the retry budget and

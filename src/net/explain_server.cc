@@ -9,19 +9,15 @@
 
 #include <chrono>
 #include <deque>
-#include <exception>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "fault/fault.h"
-#include "mem/eviction_manager.h"
-#include "obs/build_info.h"
 #include "obs/registry.h"
 #include "obs/span_collector.h"
 #include "obs/trace.h"
 #include "prof/perf_counters.h"
-#include "prof/sampling_profiler.h"
 
 namespace subex {
 
@@ -42,9 +38,6 @@ std::uint64_t NsSince(Clock::time_point start) {
                                                            start)
           .count());
 }
-
-[[maybe_unused]] constexpr const char kEmptyChromeTrace[] =
-    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
 
 }  // namespace
 
@@ -100,13 +93,12 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
                              ThreadPool* pool)
     : options_(options),
       pool_(pool),
+      router_([this] { return StatsSections(); }),
       request_histogram_(
           &MetricsRegistry::Global().GetHistogram("serve.request")),
       queue_wait_histogram_(
           &MetricsRegistry::Global().GetHistogram("serve.queue_wait")),
       write_histogram_(&MetricsRegistry::Global().GetHistogram("net.write")),
-      explain_search_histogram_(
-          &MetricsRegistry::Global().GetHistogram("explain.search")),
       bytes_received_(
           &MetricsRegistry::Global().GetCounter("net.bytes_received")),
       bytes_sent_(&MetricsRegistry::Global().GetCounter("net.bytes_sent")),
@@ -119,39 +111,28 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
       uptime_gauge_(
           &MetricsRegistry::Global().GetGauge("server.uptime_seconds")),
       metrics_http_(options.host, [this] { RefreshUptimeGauge(); }) {
-  const auto route = [this](MessageType type, const char* label,
-                            Handler handler) {
-    routes_[static_cast<std::size_t>(type)] = {
-        label,
-        &MetricsRegistry::Global().GetHistogram(std::string("serve.request.") +
-                                                label),
-        handler};
-  };
-  route(MessageType::kScore, "score", &ExplainServer::HandleScore);
-  route(MessageType::kExplain, "explain", &ExplainServer::HandleExplain);
-  route(MessageType::kStats, "stats", &ExplainServer::HandleStats);
-  route(MessageType::kTraceDump, "trace_dump", &ExplainServer::HandleTraceDump);
-  route(MessageType::kIngest, "ingest", &ExplainServer::HandleIngest);
-  route(MessageType::kOnlineScore, "online_score",
-        &ExplainServer::HandleOnlineScore);
-  route(MessageType::kOnlineExplain, "online_explain",
-        &ExplainServer::HandleOnlineExplain);
-  route(MessageType::kProfDump, "prof", &ExplainServer::HandleProfDump);
+  for (std::size_t type = 0; type < routes_.size(); ++type) {
+    VisitRequest(static_cast<MessageType>(type), [&](auto request) {
+      const char* label = request.kKind.label;
+      routes_[type] = {label, &MetricsRegistry::Global().GetHistogram(
+                                  std::string("serve.request.") + label)};
+    });
+  }
 }
 
 ExplainServer::~ExplainServer() { Stop(); }
 
 void ExplainServer::RegisterService(ScoringService& service) {
-  services_[service.detector_name()] = &service;
+  router_.RegisterService(service);
 }
 
 void ExplainServer::RegisterExplainer(const std::string& name,
                                       const PointExplainer& explainer) {
-  explainers_[name] = &explainer;
+  router_.RegisterExplainer(name, explainer);
 }
 
 void ExplainServer::RegisterOnlineDataset(OnlineDataset& dataset) {
-  online_[dataset.name()] = &dataset;
+  router_.RegisterOnlineDataset(dataset);
 }
 
 bool ExplainServer::Start(std::string* error) {
@@ -417,7 +398,8 @@ bool ExplainServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
                     .Add("max_frame_bytes",
                          static_cast<std::uint64_t>(options_.max_frame_bytes))
                     .Build());
-    EnqueueResponse(conn, EncodeError(0, "frame exceeds maximum size"));
+    EnqueueResponse(conn, Encode(MessageType::kError, 0,
+                                 TextResult{"frame exceeds maximum size"}));
     std::lock_guard<std::mutex> lock(conn->mutex);
     conn->close_after_flush = true;
   }
@@ -487,8 +469,8 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                     .Add("request_id", header.request_id)
                     .Add("bytes", static_cast<std::uint64_t>(payload.size()))
                     .Build());
-    EnqueueResponse(conn,
-                    EncodeError(header.request_id, "malformed request header"));
+    EnqueueResponse(conn, Encode(MessageType::kError, header.request_id,
+                                 TextResult{"malformed request header"}));
     std::lock_guard<std::mutex> lock(conn->mutex);
     conn->close_after_flush = true;
     return;
@@ -507,7 +489,8 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
               .Add("queue_capacity",
                    static_cast<std::uint64_t>(options_.queue_capacity))
               .Build());
-      EnqueueResponse(conn, EncodeBusy(header.request_id));
+      EnqueueResponse(
+          conn, Encode(MessageType::kBusy, header.request_id, EmptyBody{}));
       return;
     }
   } while (!in_flight_.compare_exchange_weak(current, current + 1,
@@ -551,7 +534,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                     .Add("deadline_ms",
                          static_cast<std::uint64_t>(header.deadline_ms))
                     .Build());
-    EnqueueResponse(conn, EncodeDeadlineExceeded(header.request_id));
+    EnqueueResponse(conn, Encode(MessageType::kDeadlineExceeded,
+                                 header.request_id, EmptyBody{}));
     conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
     in_flight_.fetch_sub(1, std::memory_order_release);
     Wake();
@@ -584,19 +568,16 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
 
   // DispatchFrame admitted only IsRequestType types, all of which route.
   const RequestRoute& route = routes_[static_cast<std::size_t>(header.type)];
-  WireReader reader(payload.data() + EncodedHeaderBytes(header),
-                    payload.size() - EncodedHeaderBytes(header));
   std::vector<std::uint8_t> response;
-  try {
+  {
 #ifndef SUBEX_OBS_DISABLED
     // Handlers and everything they call (scoring service, chunk loads,
     // explainer pipelines) see this trace via CurrentTrace().
     TraceContext context(trace);
 #endif
-    response = (this->*route.handler)(header.request_id, reader);
-  } catch (const std::exception& e) {
-    response = EncodeError(header.request_id,
-                           std::string("handler exception: ") + e.what());
+    const std::size_t header_bytes = EncodedHeaderBytes(header);
+    response = router_.Route(header, payload.data() + header_bytes,
+                             payload.size() - header_bytes);
   }
   // Second deadline gate, between the compute and write-back stages: a
   // result the client has stopped waiting for is discarded rather than
@@ -604,7 +585,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   if (has_deadline && Clock::now() >= deadline) {
     deadline_expired_compute_.fetch_add(1, std::memory_order_relaxed);
     deadline_compute_counter_->Increment();
-    response = EncodeDeadlineExceeded(header.request_id);
+    response =
+        Encode(MessageType::kDeadlineExceeded, header.request_id, EmptyBody{});
   }
   const std::uint64_t end_to_end_ns = NsSince(admitted);
   request_histogram_->Record(end_to_end_ns);
@@ -636,95 +618,6 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   Wake();
 }
 
-namespace {
-
-/// Features must address columns of the service's dataset; an out-of-range
-/// id would be undefined behavior deep inside a detector.
-bool SubspaceInRange(const Subspace& subspace, std::size_t num_features) {
-  for (const FeatureId f : subspace.features()) {
-    if (f < 0 || static_cast<std::size_t>(f) >= num_features) return false;
-  }
-  return true;
-}
-
-/// Shared core of `kExplain` and `kOnlineExplain`: range-checks `point`
-/// and `target_dim` against `data`, runs the search under an
-/// `explain.search` span (it joins the request's trace via CurrentTrace(),
-/// and the detector's scoring spans nest underneath), then truncates the
-/// ranking to `max_results` (0 keeps all). Returns the error message of a
-/// failed check, nullptr on success.
-const char* RunExplain(const PointExplainer& explainer, const Dataset& data,
-                       const Detector& detector, int point, int target_dim,
-                       std::uint32_t max_results, Histogram* search_histogram,
-                       RankedSubspaces* ranking) {
-  if (point < 0 || static_cast<std::size_t>(point) >= data.num_points()) {
-    return "point index out of range";
-  }
-  if (target_dim < 2 ||
-      static_cast<std::size_t>(target_dim) > data.num_features()) {
-    return "target_dim out of range";
-  }
-  {
-    TraceSpan search(search_histogram, nullptr, "explain.search");
-    *ranking = explainer.Explain(data, detector, point, target_dim);
-  }
-  if (max_results > 0 && ranking->size() > max_results) {
-    ranking->subspaces.resize(max_results);
-    ranking->scores.resize(max_results);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> ExplainServer::HandleScore(std::uint64_t request_id,
-                                                     WireReader& reader) {
-  ScoreRequest request;
-  if (!DecodeScoreRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kScore body");
-  }
-  const auto it = services_.find(request.detector);
-  if (it == services_.end()) {
-    return EncodeError(request_id, "unknown detector: " + request.detector);
-  }
-  ScoringService& service = *it->second;
-  if (!SubspaceInRange(request.subspace, service.data().num_features())) {
-    return EncodeError(request_id, "subspace feature out of range");
-  }
-  const ScoreVectorPtr scores = service.Score(request.subspace);
-  ScoreResult result;
-  result.scores = *scores;
-  return EncodeScoreResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleExplain(std::uint64_t request_id,
-                                                       WireReader& reader) {
-  ExplainRequest request;
-  if (!DecodeExplainRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kExplain body");
-  }
-  const auto service_it = services_.find(request.detector);
-  if (service_it == services_.end()) {
-    return EncodeError(request_id, "unknown detector: " + request.detector);
-  }
-  const auto explainer_it = explainers_.find(request.explainer);
-  if (explainer_it == explainers_.end()) {
-    return EncodeError(request_id, "unknown explainer: " + request.explainer);
-  }
-  ScoringService& service = *service_it->second;
-  // Scoring routes through the service, so concurrent explanations share
-  // the cache and single-flight deduplication.
-  const CachingDetector cached(service);
-  ExplainResult result;
-  if (const char* bad = RunExplain(
-          *explainer_it->second, service.data(), cached, request.point,
-          request.target_dim, request.max_results, explain_search_histogram_,
-          &result.ranking)) {
-    return EncodeError(request_id, bad);
-  }
-  return EncodeExplainResult(request_id, result);
-}
-
 std::uint64_t ExplainServer::RefreshUptimeGauge() {
   const std::uint64_t uptime_seconds = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(Clock::now() -
@@ -734,211 +627,16 @@ std::uint64_t ExplainServer::RefreshUptimeGauge() {
   return uptime_seconds;
 }
 
-std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id,
-                                                     WireReader&) {
-  JsonObject services;
-  for (const auto& [name, service] : services_) {
-    services.AddRaw(name, service->stats().ToJson());
-  }
-  const std::uint64_t uptime_seconds = RefreshUptimeGauge();
+ServerStatsSections ExplainServer::StatsSections() {
+  ServerStatsSections sections;
+  sections.uptime_seconds = RefreshUptimeGauge();
+  sections.server = stats().ToJson();
 #ifndef SUBEX_OBS_DISABLED
-  const std::string events_json = EventLog::Global().ToJson();
-  const std::string slow_json =
-      slow_capture_ != nullptr
-          ? slow_capture_->ToJson()
-          : "{\"threshold_ms\":0,\"captured\":0,\"recent\":[]}";
-#else
-  const std::string events_json =
-      "{\"emitted\":0,\"suppressed\":0,\"recent\":[]}";
-  const std::string slow_json =
-      "{\"threshold_ms\":0,\"captured\":0,\"recent\":[]}";
+  if (slow_capture_ != nullptr) {
+    sections.slow_requests = slow_capture_->ToJson();
+  }
 #endif
-  JsonObject online;
-  for (const auto& [name, dataset] : online_) {
-    online.AddRaw(name, dataset->stats().ToJson());
-  }
-  TextResult result;
-  result.text = JsonObject()
-                    .Add("uptime_seconds", uptime_seconds)
-                    .AddRaw("build_info", BuildInfoJson())
-                    .AddRaw("server", stats().ToJson())
-                    .AddRaw("services", services.Build())
-                    .AddRaw("online", online.Build())
-                    .AddRaw("metrics", MetricsRegistry::Global().ToJson())
-                    .AddRaw("mem", EvictionManager::Global().snapshot().ToJson())
-                    .AddRaw("events", events_json)
-                    .AddRaw("slow_requests", slow_json)
-                    .AddRaw("fault", FaultRegistry::Global().stats().ToJson())
-                    .Build();
-  return EncodeStatsResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleTraceDump(
-    std::uint64_t request_id, WireReader& reader) {
-  TraceDumpRequest request;
-  if (!DecodeTraceDumpRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kTraceDump body");
-  }
-  TextResult result;
-#ifndef SUBEX_OBS_DISABLED
-  SpanCollector& collector = SpanCollector::Global();
-  result.text = collector.ToChromeTraceJson();
-  if (request.clear) collector.Clear();
-#else
-  result.text = kEmptyChromeTrace;
-#endif
-  return EncodeTraceDumpResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleProfDump(
-    std::uint64_t request_id, WireReader& reader) {
-  ProfDumpRequest request;
-  if (!DecodeProfDumpRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kProfDump body");
-  }
-  // The SUBEX_OBS_DISABLED stubs make every branch a well-formed no-op
-  // (start fails gracefully, dumps are empty), so this handler needs no
-  // compile-time split.
-  SamplingProfiler& profiler = SamplingProfiler::Global();
-  ProfDumpResult result;
-  switch (request.action) {
-    case ProfAction::kStart: {
-      SamplingProfilerOptions options;
-      if (request.sample_hz != 0) {
-        options.sample_hz = static_cast<int>(request.sample_hz);
-      }
-      std::string error;
-      const bool started = profiler.Start(options, &error);
-      JsonObject status;
-      status.Add("running", profiler.running());
-      status.Add("sample_hz", profiler.sample_hz());
-      status.Add("supported", SamplingProfiler::SupportedOnThisSystem());
-      if (!started) status.Add("error", error);
-      result.text = status.Build();
-      break;
-    }
-    case ProfAction::kStop: {
-      profiler.Stop();
-      result.text = JsonObject()
-                        .Add("running", false)
-                        .Add("samples", profiler.samples())
-                        .Add("dropped", profiler.dropped())
-                        .Build();
-      break;
-    }
-    case ProfAction::kDump: {
-      result.text = profiler.ToCollapsedText();
-      if (request.clear) profiler.Clear();
-      break;
-    }
-  }
-  return EncodeProfDumpResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleIngest(std::uint64_t request_id,
-                                                      WireReader& reader) {
-  IngestRequest request;
-  if (!DecodeIngestRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kIngest body");
-  }
-  const auto it = online_.find(request.dataset);
-  if (it == online_.end()) {
-    return EncodeError(request_id,
-                       "unknown online dataset: " + request.dataset);
-  }
-  OnlineDataset& dataset = *it->second;
-  if (request.num_rows == 0) {
-    return EncodeError(request_id, "empty ingest");
-  }
-  const std::size_t width = request.values.size() / request.num_rows;
-  if (width != dataset.num_features()) {
-    return EncodeError(request_id, "ingest width mismatch");
-  }
-  Matrix rows(request.num_rows, width);
-  for (std::uint32_t r = 0; r < request.num_rows; ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      rows(r, c) = request.values[static_cast<std::size_t>(r) * width + c];
-    }
-  }
-  const OnlineDataset::IngestResult ingested = dataset.Append(rows);
-  IngestResult result;
-  result.accepted = static_cast<std::uint32_t>(ingested.accepted);
-  result.window_epoch = ingested.epoch;
-  result.window_size = ingested.window_size;
-  result.total_ingested = ingested.total_ingested;
-  result.advances = ingested.advances;
-  return EncodeIngestResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleOnlineScore(
-    std::uint64_t request_id, WireReader& reader) {
-  OnlineScoreRequest request;
-  if (!DecodeOnlineScoreRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kOnlineScore body");
-  }
-  const auto it = online_.find(request.dataset);
-  if (it == online_.end()) {
-    return EncodeError(request_id,
-                       "unknown online dataset: " + request.dataset);
-  }
-  OnlineDataset& dataset = *it->second;
-  if (!SubspaceInRange(request.subspace, dataset.num_features())) {
-    return EncodeError(request_id, "subspace feature out of range");
-  }
-  OnlineDataset::ScoredEpoch scored;
-  const OnlineDataset::Status status =
-      dataset.Score(request.detector, request.subspace, &scored);
-  if (status != OnlineDataset::Status::kOk) {
-    return EncodeError(request_id, OnlineDataset::StatusMessage(status));
-  }
-  OnlineScoreResult result;
-  result.epoch = scored.epoch;
-  result.scores = *scored.scores;
-  return EncodeOnlineScoreResult(request_id, result);
-}
-
-std::vector<std::uint8_t> ExplainServer::HandleOnlineExplain(
-    std::uint64_t request_id, WireReader& reader) {
-  OnlineExplainRequest request;
-  if (!DecodeOnlineExplainRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kOnlineExplain body");
-  }
-  const auto it = online_.find(request.dataset);
-  if (it == online_.end()) {
-    return EncodeError(request_id,
-                       "unknown online dataset: " + request.dataset);
-  }
-  OnlineDataset& dataset = *it->second;
-  if (!dataset.HasDetector(request.detector)) {
-    return EncodeError(request_id, "unknown detector: " + request.detector);
-  }
-  const auto explainer_it = explainers_.find(request.explainer);
-  if (explainer_it == explainers_.end()) {
-    return EncodeError(request_id, "unknown explainer: " + request.explainer);
-  }
-  // Everything below works on this pinned epoch; even if ingest keeps the
-  // window moving, the explanation is internally consistent for it.
-  const OnlineDataset::EpochSnapshot snapshot = dataset.Snapshot();
-  if (snapshot.data == nullptr ||
-      snapshot.data->num_points() < dataset.options().min_score_window) {
-    return EncodeError(
-        request_id,
-        OnlineDataset::StatusMessage(OnlineDataset::Status::kWindowTooSmall));
-  }
-  const PinnedEpochDetector pinned(dataset, snapshot, request.detector);
-  OnlineExplainResult result;
-  if (const char* bad = RunExplain(
-          *explainer_it->second, *snapshot.data, pinned, request.point,
-          request.target_dim, request.max_results, explain_search_histogram_,
-          &result.ranking)) {
-    return EncodeError(request_id, bad);
-  }
-  result.computed_epoch = snapshot.epoch;
-  result.current_epoch = dataset.epoch();
-  if (result.computed_epoch < result.current_epoch) {
-    dataset.NoteStaleServe(result.computed_epoch, result.current_epoch);
-  }
-  return EncodeOnlineExplainResult(request_id, result);
+  return sections;
 }
 
 void ExplainServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,

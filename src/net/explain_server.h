@@ -12,15 +12,13 @@
 #include <unordered_map>
 
 #include "common/thread_pool.h"
-#include "explain/point_explainer.h"
 #include "net/frame.h"
 #include "net/metrics_http.h"
 #include "net/protocol.h"
+#include "net/request_router.h"
 #include "net/socket.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "online/online_dataset.h"
-#include "serve/scoring_service.h"
 
 namespace subex {
 
@@ -89,11 +87,12 @@ struct ExplainServerOptions {
   int metrics_port = -1;
 };
 
-/// Networked explanation server: a single poll()-based event-loop thread
-/// multiplexes every connection, decodes length-prefixed request frames,
-/// and hands the compute — detector scoring through a `ScoringService`,
-/// point explanation through a registered `PointExplainer` — to the shared
-/// `ThreadPool`, so slow explanations never stall the loop.
+/// Networked explanation server: the transport around a `RequestRouter`.
+/// A single poll()-based event-loop thread multiplexes every connection,
+/// decodes length-prefixed request frames, and hands each admitted request
+/// to the shared `ThreadPool`, where the router computes its reply —
+/// scoring through a `ScoringService`, point explanation through a
+/// registered `PointExplainer` — so slow explanations never stall the loop.
 ///
 /// Flow control is admission-based: at most `queue_capacity` requests may
 /// be in flight; beyond that the loop replies `kBusy` without touching the
@@ -103,10 +102,9 @@ struct ExplainServerOptions {
 /// in-flight requests run to completion and their responses are flushed
 /// (up to `drain_timeout_ms`) before connections are torn down.
 ///
-/// Register every service/explainer before `Start`; the registry is
-/// read-only while the loop runs. Handlers are thread-safe by construction:
-/// `ScoringService` is concurrent, explainers are stateless, and responses
-/// are serialized per connection under a mutex.
+/// Register every service/explainer before `Start`; the router's registry
+/// is read-only while the loop runs, and responses are serialized per
+/// connection under a mutex.
 class ExplainServer {
  public:
   /// `pool == nullptr` runs handlers inline on the event-loop thread
@@ -155,15 +153,11 @@ class ExplainServer {
 
  private:
   struct Connection;
-  using Handler = std::vector<std::uint8_t> (ExplainServer::*)(
-      std::uint64_t request_id, WireReader& reader);
-  /// What the server knows per request type.
+  /// What the transport knows per request type: its `serve.request.<label>`
+  /// histogram, and the label of its slow-request captures.
   struct RequestRoute {
-    /// Names the `serve.request.<label>` histogram and labels the type's
-    /// slow-request captures.
     const char* label = nullptr;
     Histogram* histogram = nullptr;
-    Handler handler = nullptr;
   };
 
   void Loop();
@@ -177,31 +171,17 @@ class ExplainServer {
   /// Admission control + dispatch of one decoded frame.
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      std::vector<std::uint8_t> payload);
-  /// Runs on the pool: decodes the body, computes, enqueues the response.
+  /// Runs on the pool: routes the request, enqueues the response.
   /// `admitted` is the admission instant — queue wait (admission to start
   /// of compute) and end-to-end latency (admission to response enqueued)
   /// both measure from it.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      MessageHeader header, std::vector<std::uint8_t> payload,
                      std::chrono::steady_clock::time_point admitted);
-  std::vector<std::uint8_t> HandleScore(std::uint64_t request_id,
-                                        WireReader& reader);
-  std::vector<std::uint8_t> HandleExplain(std::uint64_t request_id,
-                                          WireReader& reader);
-  std::vector<std::uint8_t> HandleStats(std::uint64_t request_id,
-                                        WireReader& reader);
   /// Sets `server.uptime_seconds` from `started_at_`; returns the value.
   std::uint64_t RefreshUptimeGauge();
-  std::vector<std::uint8_t> HandleTraceDump(std::uint64_t request_id,
-                                            WireReader& reader);
-  std::vector<std::uint8_t> HandleIngest(std::uint64_t request_id,
-                                         WireReader& reader);
-  std::vector<std::uint8_t> HandleOnlineScore(std::uint64_t request_id,
-                                              WireReader& reader);
-  std::vector<std::uint8_t> HandleOnlineExplain(std::uint64_t request_id,
-                                                WireReader& reader);
-  std::vector<std::uint8_t> HandleProfDump(std::uint64_t request_id,
-                                           WireReader& reader);
+  /// The server's own `kStats` sections (the router's callback).
+  ServerStatsSections StatsSections();
   /// `trace_id`/`parent_span_id` label the response's eventual `net.write`
   /// span (0 = untraced).
   void EnqueueResponse(const std::shared_ptr<Connection>& conn,
@@ -214,9 +194,7 @@ class ExplainServer {
 
   ExplainServerOptions options_;
   ThreadPool* pool_;
-  std::unordered_map<std::string, ScoringService*> services_;
-  std::unordered_map<std::string, const PointExplainer*> explainers_;
-  std::unordered_map<std::string, OnlineDataset*> online_;
+  RequestRouter router_;
 
   Socket listener_;
   Socket wake_read_;
@@ -238,7 +216,6 @@ class ExplainServer {
   /// Indexed by request `MessageType` value (`IsRequestType` types only).
   std::array<RequestRoute, static_cast<std::size_t>(MessageType::kProfDump) + 1>
       routes_;
-  Histogram* explain_search_histogram_;   ///< explain.search (handler side).
   Counter* bytes_received_;          ///< net.bytes_received.
   Counter* bytes_sent_;              ///< net.bytes_sent.
   Counter* deadline_queue_counter_;    ///< serve.deadline_expired_queue.

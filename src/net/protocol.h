@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "explain/explanation.h"
@@ -11,14 +12,12 @@
 
 namespace subex {
 
-/// Wire protocol version carried in every message header; a server rejects
-/// frames from a different version with `kError` (no negotiation — both
-/// ends of the testbed ship together).
+/// Wire protocol version in every header; a server answers another version
+/// with `kError` (no negotiation — both ends ship together).
 inline constexpr std::uint8_t kProtocolVersion = 1;
 
-/// Message discriminator. Requests are < 64, successful responses start at
-/// 64, and flow-control/error responses start at 100 (see DESIGN.md for
-/// the frame format table).
+/// Message discriminator: requests are < 64, successful responses start at
+/// 64, flow-control/error responses at 100 (DESIGN.md §4.2 has the table).
 enum class MessageType : std::uint8_t {
   // Requests (client → server).
   kScore = 1,      ///< Standardized score vector of one subspace.
@@ -29,42 +28,26 @@ enum class MessageType : std::uint8_t {
   kOnlineScore = 6,    ///< Score the current window of an online dataset.
   kOnlineExplain = 7,  ///< Explain a window row of an online dataset.
   kProfDump = 8,       ///< Control/dump the server's sampling profiler.
-  // Responses (server → client).
-  kScoreResult = 64,
-  kExplainResult = 65,
-  kStatsResult = 66,
-  kTraceDumpResult = 67,
-  kIngestResult = 68,
-  kOnlineScoreResult = 69,
-  kOnlineExplainResult = 70,
-  kProfDumpResult = 71,
+  // Responses (server → client), each request's type + 63.
+  kScoreResult = 64, kExplainResult = 65, kStatsResult = 66,
+  kTraceDumpResult = 67, kIngestResult = 68, kOnlineScoreResult = 69,
+  kOnlineExplainResult = 70, kProfDumpResult = 71,
   kBusy = 100,   ///< Request queue full — retry with backoff.
   kError = 101,  ///< Malformed or unserviceable request; body is a message.
   kDeadlineExceeded = 102,  ///< The request's deadline expired server-side.
 };
 
-/// True for the client-issued message types.
-bool IsRequestType(MessageType type);
-
-/// High bit of the wire type byte: set when an optional u64 trace id
-/// follows the fixed header. Old clients never set it and old servers never
-/// see it set, so untraced frames are byte-identical across versions.
+/// High bit of the type byte: an optional u64 trace id follows the fixed
+/// header. Untraced frames are byte-identical to the pre-trace format.
 inline constexpr std::uint8_t kTraceIdFlag = 0x80;
 
-/// High bit of the wire *version* byte: set when an optional u32 deadline
-/// (milliseconds of remaining budget, relative so clock skew is moot)
-/// follows the header after the optional trace id. It cannot live on the
-/// type byte — bit 6 is already significant there (`kScoreResult` is 64) —
-/// and the version byte's value space (`kProtocolVersion` = 1) is free.
-/// Deadline-less frames stay byte-identical to the old format.
+/// High bit of the version byte: an optional u32 relative deadline (ms of
+/// remaining budget) follows the header after the optional trace id. Bit 6
+/// of the type byte is taken (`kScoreResult` is 64), so it lives here.
 inline constexpr std::uint8_t kDeadlineFlag = 0x80;
 
-/// Fixed prelude of every payload: version, type, and the client-chosen
-/// request id the server echoes back (responses to pipelined requests may
-/// arrive in any order; the id pairs them up). A request may additionally
-/// carry the client's trace id (see `kTraceIdFlag`) and/or a relative
-/// deadline in milliseconds (see `kDeadlineFlag`); expired work is dropped
-/// server-side with a `kDeadlineExceeded` reply.
+/// Prelude of every payload: version, type, the client-chosen request id
+/// the server echoes back, then the optional trace id and deadline.
 struct MessageHeader {
   std::uint8_t version = kProtocolVersion;
   MessageType type = MessageType::kError;
@@ -75,61 +58,51 @@ struct MessageHeader {
   std::uint32_t deadline_ms = 0;
 };
 
-/// Serialized size of the fixed (trace-less, deadline-less) header prelude.
+/// Serialized size of the header without its optional fields.
 inline constexpr std::size_t kMessageHeaderBytes = 1 + 1 + 8;
 
-/// Serialized size of `header`: the fixed prelude plus the optional trace
-/// id and deadline (keyed on the `has_*` flags, so a flagged header with
-/// trace id 0 still counts its 8 bytes).
+/// Serialized size of `header`, optional fields included (keyed on the
+/// `has_*` flags: a flagged header with trace id 0 still counts 8 bytes).
 inline constexpr std::size_t EncodedHeaderBytes(const MessageHeader& header) {
   return kMessageHeaderBytes + (header.has_trace_id ? 8 : 0) +
          (header.has_deadline ? 4 : 0);
 }
 
 // ---------------------------------------------------------------------------
-// Message bodies.
+// Message bodies. Each lists its fields once, in wire order, in `Fields`;
+// a field's C++ type picks its wire encoding (see `Put`). Each request
+// also names its kind and its reply body (`Reply`).
 
-/// `kScore`: which detector, which subspace.
-struct ScoreRequest {
-  std::string detector;
-  Subspace subspace;
+/// A request's type tag, the tag of its successful reply, and its names.
+struct RequestKind {
+  MessageType type;
+  MessageType reply_type;
+  const char* name;   ///< "kScore": names the type in error texts.
+  const char* label;  ///< `serve.request.<label>` and `client.<label>`.
 };
 
-/// `kExplain`: explain `point` with `explainer` using `detector` as the
-/// outlyingness criterion, returning subspaces of exactly `target_dim`
-/// features (truncated to `max_results` when non-zero).
-struct ExplainRequest {
-  std::string detector;
-  std::string explainer;
-  std::int32_t point = 0;
-  std::int32_t target_dim = 2;
-  std::uint32_t max_results = 0;
+/// One string: kStats JSON, kTraceDump Chrome trace JSON, kProfDump
+/// flamegraph text (`kDump`) or status JSON, or a `kError` message.
+struct TextResult {
+  std::string text;
+  static auto Fields(auto& m) { return std::tie(m.text); }
 };
 
-/// `kScoreResult`: the standardized score vector, bitwise identical to the
-/// in-process `ScoringService::Score` result.
+/// The body of `kBusy` and `kDeadlineExceeded`.
+struct EmptyBody {
+  static auto Fields(auto&) { return std::tie(); }
+};
+
+/// `kScoreResult`: bitwise the in-process `ScoringService::Score` vector.
 struct ScoreResult {
   std::vector<double> scores;
+  static auto Fields(auto& m) { return std::tie(m.scores); }
 };
 
 /// `kExplainResult`: ranked subspaces, best first.
 struct ExplainResult {
   RankedSubspaces ranking;
-};
-
-/// `kTraceDump`: fetch the server's collected spans; `clear` additionally
-/// resets the collector so successive dumps don't repeat spans.
-struct TraceDumpRequest {
-  bool clear = false;
-};
-
-/// `kIngest`: append `num_rows` row-major points to the online dataset
-/// named `dataset`. The row width is `values.size() / num_rows` and must
-/// match the dataset's feature count (the server rejects otherwise).
-struct IngestRequest {
-  std::string dataset;
-  std::uint32_t num_rows = 0;
-  std::vector<double> values;
+  static auto Fields(auto& m) { return std::tie(m.ranking); }
 };
 
 /// `kIngestResult`: where the window landed after the append.
@@ -139,32 +112,120 @@ struct IngestResult {
   std::uint64_t window_size = 0;     ///< Window rows after the append.
   std::uint64_t total_ingested = 0;  ///< Lifetime rows of the dataset.
   std::uint32_t advances = 0;        ///< Window advances this append caused.
+  static auto Fields(auto& m) {
+    return std::tie(m.accepted, m.window_epoch, m.window_size,
+                    m.total_ingested, m.advances);
+  }
 };
 
-/// `kOnlineScore`: standardized scores of the current window of `dataset`
-/// in `subspace`, under `detector` (a name registered on the dataset).
-struct OnlineScoreRequest {
-  std::string dataset;
-  std::string detector;
-  Subspace subspace;
-};
-
-/// `kOnlineScoreResult`: the epoch identifies the exact window contents
-/// the scores describe.
+/// `kOnlineScoreResult`: `epoch` names the window the scores describe.
 struct OnlineScoreResult {
   std::uint64_t epoch = 0;
   std::vector<double> scores;
+  static auto Fields(auto& m) { return std::tie(m.epoch, m.scores); }
 };
 
-/// `kOnlineExplain`: explain window row `point` (0 = oldest retained) of
-/// `dataset` with `explainer`, using online detector `detector`.
+/// `kOnlineExplainResult`: the ranking and its freshness; `computed_epoch <
+/// current_epoch` marks a stale (still self-consistent) serve.
+struct OnlineExplainResult {
+  std::uint64_t computed_epoch = 0;
+  std::uint64_t current_epoch = 0;
+  RankedSubspaces ranking;
+  static auto Fields(auto& m) {
+    return std::tie(m.computed_epoch, m.current_epoch, m.ranking);
+  }
+};
+
+/// `kScore`: which detector, which subspace.
+struct ScoreRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kScore, MessageType::kScoreResult, "kScore", "score"};
+  using Reply = ScoreResult;
+  std::string detector;
+  Subspace subspace;
+  static auto Fields(auto& m) { return std::tie(m.detector, m.subspace); }
+};
+
+/// `kExplain`: explain `point` with `explainer` under `detector`: subspaces
+/// of exactly `target_dim` features, at most `max_results` if non-zero.
+struct ExplainRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kExplain, MessageType::kExplainResult,
+      "kExplain", "explain"};
+  using Reply = ExplainResult;
+  std::string detector;
+  std::string explainer;
+  std::int32_t point = 0;
+  std::int32_t target_dim = 2;
+  std::uint32_t max_results = 0;
+  static auto Fields(auto& m) {
+    return std::tie(m.detector, m.explainer, m.point, m.target_dim,
+                    m.max_results);
+  }
+};
+
+/// `kStats`: server + per-service counters as one JSON document.
+struct StatsRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kStats, MessageType::kStatsResult, "kStats", "stats"};
+  using Reply = TextResult;
+  static auto Fields(auto&) { return std::tie(); }
+};
+
+/// `kTraceDump`: the server's collected spans; `clear` then empties them.
+struct TraceDumpRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kTraceDump, MessageType::kTraceDumpResult,
+      "kTraceDump", "trace_dump"};
+  using Reply = TextResult;
+  bool clear = false;
+  static auto Fields(auto& m) { return std::tie(m.clear); }
+};
+
+/// `kIngest`: append `num_rows` row-major points to online dataset
+/// `dataset`; the width `values.size() / num_rows` must match its features.
+struct IngestRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kIngest, MessageType::kIngestResult, "kIngest", "ingest"};
+  using Reply = IngestResult;
+  std::string dataset;
+  std::uint32_t num_rows = 0;
+  std::vector<double> values;
+  static auto Fields(auto& m) {
+    return std::tie(m.dataset, m.num_rows, m.values);
+  }
+};
+
+/// `kOnlineScore`: scores of `dataset`'s current window under `detector`.
+struct OnlineScoreRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kOnlineScore, MessageType::kOnlineScoreResult,
+      "kOnlineScore", "online_score"};
+  using Reply = OnlineScoreResult;
+  std::string dataset;
+  std::string detector;
+  Subspace subspace;
+  static auto Fields(auto& m) {
+    return std::tie(m.dataset, m.detector, m.subspace);
+  }
+};
+
+/// `kOnlineExplain`: explain window row `point` (0 = oldest) of `dataset`.
 struct OnlineExplainRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kOnlineExplain, MessageType::kOnlineExplainResult,
+      "kOnlineExplain", "online_explain"};
+  using Reply = OnlineExplainResult;
   std::string dataset;
   std::string detector;
   std::string explainer;
   std::int32_t point = 0;
   std::int32_t target_dim = 2;
   std::uint32_t max_results = 0;
+  static auto Fields(auto& m) {
+    return std::tie(m.dataset, m.detector, m.explainer, m.point,
+                    m.target_dim, m.max_results);
+  }
 };
 
 /// What a `kProfDump` request asks of the server's `SamplingProfiler`.
@@ -174,123 +235,104 @@ enum class ProfAction : std::uint8_t {
   kStop = 2,   ///< Disarm timers; samples stay dumpable.
 };
 
-/// `kProfDump`: drive the server-side profiler. For `kStart`,
-/// `sample_hz == 0` means the default rate; for `kDump`, `clear` resets
-/// the sample rings after the export (the `kTraceDump` convention).
+/// `kProfDump`: drive the server's profiler. `sample_hz` 0 is the default
+/// rate; `clear` resets the sample rings after a `kDump`.
 struct ProfDumpRequest {
+  static constexpr RequestKind kKind{
+      MessageType::kProfDump, MessageType::kProfDumpResult,
+      "kProfDump", "prof"};
+  using Reply = TextResult;
   ProfAction action = ProfAction::kDump;
   std::uint32_t sample_hz = 0;
   bool clear = false;
+  static auto Fields(auto& m) {
+    return std::tie(m.action, m.sample_hz, m.clear);
+  }
 };
 
-/// `kProfDumpResult`: for `kDump` the collapsed-stack flamegraph text
-/// (empty when nothing was sampled); for `kStart`/`kStop` a one-line JSON
-/// status `{"running":...,"sample_hz":...,"supported":...}`.
-struct ProfDumpResult {
-  std::string text;
-};
+/// Every request body, in type-tag order.
+using RequestBodies =
+    std::tuple<ScoreRequest, ExplainRequest, StatsRequest, TraceDumpRequest,
+               IngestRequest, OnlineScoreRequest, OnlineExplainRequest,
+               ProfDumpRequest>;
 
-/// `kOnlineExplainResult`: the ranking plus its freshness — the epoch the
-/// explanation was computed against and the epoch current when the reply
-/// was produced. `computed_epoch < current_epoch` marks a stale serve (the
-/// window advanced mid-computation; the answer is still internally
-/// consistent for its pinned epoch).
-struct OnlineExplainResult {
-  std::uint64_t computed_epoch = 0;
-  std::uint64_t current_epoch = 0;
-  RankedSubspaces ranking;
-};
+/// Calls `visit(Request{})` for the request body tagged `type`; false,
+/// without a call, when `type` is not a request.
+template <typename Visit>
+bool VisitRequest(MessageType type, Visit&& visit) {
+  return std::apply(
+      [&](auto... body) {
+        return ((body.kKind.type == type && (visit(body), true)) || ...);
+      },
+      RequestBodies{});
+}
 
-/// `kStatsResult`: one JSON document (server counters + per-service cache
-/// stats). `kTraceDumpResult` (Chrome trace-event JSON) and `kError` (the
-/// error message) reuse the same single-string shape.
-struct TextResult {
-  std::string text;
-};
+/// True for the client-issued message types.
+inline bool IsRequestType(MessageType type) {
+  return VisitRequest(type, [](auto) {});
+}
 
 // ---------------------------------------------------------------------------
-// Encoding. Each function produces a complete payload (header + body),
-// ready for `EncodeFrame`.
+// Field codec: one `Put`/`Get` pair per wire type, little-endian; strings
+// and vectors carry a u32 count. A truncated or invalid field trips the
+// reader's sticky error: the wire rejects negative feature ids, a
+// `ProfAction` above `kStop` and (`Valid`) ingest values that don't tile.
 
-void EncodeSubspace(WireWriter& writer, const Subspace& subspace);
-/// Returns false (leaving `out` unspecified) on a corrupt encoding.
-bool DecodeSubspace(WireReader& reader, Subspace* out);
+inline void Put(WireWriter& w, bool v) { w.PutU8(v ? 1 : 0); }
+inline void Put(WireWriter& w, std::uint32_t v) { w.PutU32(v); }
+inline void Put(WireWriter& w, std::uint64_t v) { w.PutU64(v); }
+inline void Put(WireWriter& w, std::int32_t v) { w.PutI32(v); }
+inline void Put(WireWriter& w, const std::string& v) { w.PutString(v); }
+inline void Put(WireWriter& w, const std::vector<double>& v) {
+  w.PutDoubles(v);
+}
+inline void Put(WireWriter& w, ProfAction v) {
+  w.PutU8(static_cast<std::uint8_t>(v));
+}
+void Put(WireWriter& w, const Subspace& v);         // u16 count, i32 ids
+void Put(WireWriter& w, const RankedSubspaces& v);  // (subspace, f64)s
 
-// Requests take an optional trace id; 0 (the id no generator produces)
-// means untraced and keeps the frame in the old fixed-header format. They
-// likewise take an optional relative deadline in milliseconds; 0 means no
-// deadline and also keeps the old format.
-std::vector<std::uint8_t> EncodeScoreRequest(std::uint64_t request_id,
-                                             const ScoreRequest& request,
-                                             std::uint64_t trace_id = 0,
-                                             std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeExplainRequest(std::uint64_t request_id,
-                                               const ExplainRequest& request,
-                                               std::uint64_t trace_id = 0,
-                                               std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeStatsRequest(std::uint64_t request_id,
-                                             std::uint64_t trace_id = 0,
-                                             std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeTraceDumpRequest(
-    std::uint64_t request_id, const TraceDumpRequest& request,
-    std::uint64_t trace_id = 0, std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeIngestRequest(std::uint64_t request_id,
-                                              const IngestRequest& request,
-                                              std::uint64_t trace_id = 0,
-                                              std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeOnlineScoreRequest(
-    std::uint64_t request_id, const OnlineScoreRequest& request,
-    std::uint64_t trace_id = 0, std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeOnlineExplainRequest(
-    std::uint64_t request_id, const OnlineExplainRequest& request,
-    std::uint64_t trace_id = 0, std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeProfDumpRequest(std::uint64_t request_id,
-                                                const ProfDumpRequest& request,
-                                                std::uint64_t trace_id = 0,
-                                                std::uint32_t deadline_ms = 0);
-std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
-                                            const ScoreResult& result);
-std::vector<std::uint8_t> EncodeExplainResult(std::uint64_t request_id,
-                                              const ExplainResult& result);
-std::vector<std::uint8_t> EncodeStatsResult(std::uint64_t request_id,
-                                            const TextResult& result);
-std::vector<std::uint8_t> EncodeTraceDumpResult(std::uint64_t request_id,
-                                                const TextResult& result);
-std::vector<std::uint8_t> EncodeIngestResult(std::uint64_t request_id,
-                                             const IngestResult& result);
-std::vector<std::uint8_t> EncodeOnlineScoreResult(
-    std::uint64_t request_id, const OnlineScoreResult& result);
-std::vector<std::uint8_t> EncodeOnlineExplainResult(
-    std::uint64_t request_id, const OnlineExplainResult& result);
-std::vector<std::uint8_t> EncodeProfDumpResult(std::uint64_t request_id,
-                                               const ProfDumpResult& result);
-std::vector<std::uint8_t> EncodeBusy(std::uint64_t request_id);
-std::vector<std::uint8_t> EncodeError(std::uint64_t request_id,
-                                      const std::string& message);
-/// `kDeadlineExceeded`: empty body, like `kBusy`.
-std::vector<std::uint8_t> EncodeDeadlineExceeded(std::uint64_t request_id);
+inline void Get(WireReader& r, bool* v) { *v = r.GetU8() != 0; }
+inline void Get(WireReader& r, std::uint32_t* v) { *v = r.GetU32(); }
+inline void Get(WireReader& r, std::uint64_t* v) { *v = r.GetU64(); }
+inline void Get(WireReader& r, std::int32_t* v) { *v = r.GetI32(); }
+inline void Get(WireReader& r, std::string* v) { *v = r.GetString(); }
+inline void Get(WireReader& r, std::vector<double>* v) { *v = r.GetDoubles(); }
+void Get(WireReader& r, ProfAction* v);
+void Get(WireReader& r, Subspace* v);
+void Get(WireReader& r, RankedSubspaces* v);
 
-// ---------------------------------------------------------------------------
-// Decoding. `DecodeHeader` consumes the prelude from `reader`; the
-// per-type body decoders consume the rest and return false on corrupt or
-// trailing bytes.
+bool Valid(const IngestRequest& request);
+inline bool Valid(const auto&) { return true; }
 
+/// A writer holding the header of a `type` message. A zero `trace_id` (no
+/// generator makes it) or `deadline_ms` leaves that optional field out.
+WireWriter BeginMessage(MessageType type, std::uint64_t request_id,
+                        std::uint64_t trace_id = 0,
+                        std::uint32_t deadline_ms = 0);
+
+/// A complete payload (header + `body`), ready for `EncodeFrame`.
+template <typename Body>
+std::vector<std::uint8_t> Encode(MessageType type, std::uint64_t request_id,
+                                 const Body& body, std::uint64_t trace_id = 0,
+                                 std::uint32_t deadline_ms = 0) {
+  WireWriter writer = BeginMessage(type, request_id, trace_id, deadline_ms);
+  std::apply([&writer](const auto&... field) { (Put(writer, field), ...); },
+             Body::Fields(body));
+  return writer.Take();
+}
+
+/// Consumes the header prelude from `reader`.
 bool DecodeHeader(WireReader& reader, MessageHeader* out);
-bool DecodeScoreRequest(WireReader& reader, ScoreRequest* out);
-bool DecodeTraceDumpRequest(WireReader& reader, TraceDumpRequest* out);
-bool DecodeExplainRequest(WireReader& reader, ExplainRequest* out);
-bool DecodeIngestRequest(WireReader& reader, IngestRequest* out);
-bool DecodeOnlineScoreRequest(WireReader& reader, OnlineScoreRequest* out);
-bool DecodeOnlineExplainRequest(WireReader& reader, OnlineExplainRequest* out);
-bool DecodeProfDumpRequest(WireReader& reader, ProfDumpRequest* out);
-bool DecodeScoreResult(WireReader& reader, ScoreResult* out);
-bool DecodeExplainResult(WireReader& reader, ExplainResult* out);
-bool DecodeIngestResult(WireReader& reader, IngestResult* out);
-bool DecodeOnlineScoreResult(WireReader& reader, OnlineScoreResult* out);
-bool DecodeOnlineExplainResult(WireReader& reader, OnlineExplainResult* out);
-bool DecodeProfDumpResult(WireReader& reader, ProfDumpResult* out);
-/// Body of `kStatsResult` and `kError` (a single string).
-bool DecodeTextResult(WireReader& reader, TextResult* out);
+
+/// Decodes the rest of `reader` into `out`; false (leaving `out`
+/// unspecified) on a bad field, trailing bytes or an invalid body.
+template <typename Body>
+bool Decode(WireReader& reader, Body* out) {
+  std::apply([&reader](auto&... field) { (Get(reader, &field), ...); },
+             Body::Fields(*out));
+  return reader.AtEnd() && Valid(*out);
+}
 
 }  // namespace subex
 

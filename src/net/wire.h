@@ -58,6 +58,8 @@ class WireReader {
   std::size_t remaining() const { return size_ - pos_; }
   /// True when the payload was consumed exactly (and no read failed).
   bool AtEnd() const { return ok_ && pos_ == size_; }
+  /// Trips the sticky error: the caller found a read value invalid.
+  void Fail() { ok_ = false; }
 
  private:
   bool Take(std::size_t n, const std::uint8_t** out);

@@ -1,5 +1,5 @@
 // Decode-path tests for ExplainClient against a scripted raw-socket peer:
-// every public call must send exactly its Encode*Request bytes, turn a
+// every public call must send exactly its encoded request bytes, turn a
 // kError reply into kServerError with the server's message, and reject a
 // reply of the wrong type or with a truncated body as kTransportError.
 
@@ -136,97 +136,106 @@ std::vector<CallCase> AllCalls() {
       {"Score", true,
        [=](ExplainClient& c) { return OutcomeOf(c.Score("LOF", subspace)); },
        [=](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeScoreRequest(id, ScoreRequest{"LOF", subspace}, t, d);
+         return Encode(MessageType::kScore, id, ScoreRequest{"LOF", subspace},
+                       t, d);
        },
        [](std::uint64_t id) {
-         return EncodeScoreResult(id, ScoreResult{{0.5, 1.5}});
+         return Encode(MessageType::kScoreResult, id, ScoreResult{{0.5, 1.5}});
        }},
       {"Explain", true,
        [](ExplainClient& c) {
          return OutcomeOf(c.Explain("LOF", "Beam", 3, 2, 5));
        },
        [](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeExplainRequest(id, ExplainRequest{"LOF", "Beam", 3, 2, 5},
-                                     t, d);
+         return Encode(MessageType::kExplain, id,
+                       ExplainRequest{"LOF", "Beam", 3, 2, 5}, t, d);
        },
        [](std::uint64_t id) {
-         return EncodeExplainResult(id, ExplainResult{OneRanking()});
+         return Encode(MessageType::kExplainResult, id,
+                       ExplainResult{OneRanking()});
        }},
       {"Stats", true, [](ExplainClient& c) { return OutcomeOf(c.Stats()); },
        [](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeStatsRequest(id, t, d);
+         return Encode(MessageType::kStats, id, StatsRequest{}, t, d);
        },
        [](std::uint64_t id) {
-         return EncodeStatsResult(id, TextResult{"{\"ok\":1}"});
+         return Encode(MessageType::kStatsResult, id, TextResult{"{\"ok\":1}"});
        }},
       {"Ingest", true,
        [](ExplainClient& c) {
          return OutcomeOf(c.Ingest("stream", 2, {1.0, 2.0, 3.0, 4.0}));
        },
        [](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeIngestRequest(
-             id, IngestRequest{"stream", 2, {1.0, 2.0, 3.0, 4.0}}, t, d);
+         return Encode(MessageType::kIngest, id,
+                       IngestRequest{"stream", 2, {1.0, 2.0, 3.0, 4.0}}, t, d);
        },
        [](std::uint64_t id) {
-         return EncodeIngestResult(id, IngestResult{2, 7, 64, 130, 1});
+         return Encode(MessageType::kIngestResult, id,
+                       IngestResult{2, 7, 64, 130, 1});
        }},
       {"OnlineScore", true,
        [=](ExplainClient& c) {
          return OutcomeOf(c.OnlineScore("stream", "LODA", subspace));
        },
        [=](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeOnlineScoreRequest(
-             id, OnlineScoreRequest{"stream", "LODA", subspace}, t, d);
+         return Encode(MessageType::kOnlineScore, id,
+                       OnlineScoreRequest{"stream", "LODA", subspace}, t, d);
        },
        [](std::uint64_t id) {
-         return EncodeOnlineScoreResult(id, OnlineScoreResult{9, {0.25}});
+         return Encode(MessageType::kOnlineScoreResult, id,
+                       OnlineScoreResult{9, {0.25}});
        }},
       {"OnlineExplain", true,
        [](ExplainClient& c) {
          return OutcomeOf(c.OnlineExplain("stream", "LODA", "Beam", 4, 2, 3));
        },
        [](std::uint64_t id, std::uint64_t t, std::uint32_t d) {
-         return EncodeOnlineExplainRequest(
-             id, OnlineExplainRequest{"stream", "LODA", "Beam", 4, 2, 3}, t, d);
+         return Encode(MessageType::kOnlineExplain, id,
+                       OnlineExplainRequest{"stream", "LODA", "Beam", 4, 2, 3},
+                       t, d);
        },
        [](std::uint64_t id) {
-         return EncodeOnlineExplainResult(
-             id, OnlineExplainResult{5, 6, OneRanking()});
+         return Encode(MessageType::kOnlineExplainResult, id,
+                       OnlineExplainResult{5, 6, OneRanking()});
        }},
       {"TraceDump", false,
        [](ExplainClient& c) { return OutcomeOf(c.TraceDump(true)); },
        [](std::uint64_t id, std::uint64_t, std::uint32_t) {
-         return EncodeTraceDumpRequest(id, TraceDumpRequest{true});
+         return Encode(MessageType::kTraceDump, id, TraceDumpRequest{true});
        },
        [](std::uint64_t id) {
-         return EncodeTraceDumpResult(id, TextResult{"{\"traceEvents\":[]}"});
+         return Encode(MessageType::kTraceDumpResult, id,
+                       TextResult{"{\"traceEvents\":[]}"});
        }},
       {"ProfStart", false,
        [](ExplainClient& c) { return OutcomeOf(c.ProfStart(97)); },
        [](std::uint64_t id, std::uint64_t, std::uint32_t) {
-         return EncodeProfDumpRequest(
-             id, ProfDumpRequest{ProfAction::kStart, 97, false});
+         return Encode(MessageType::kProfDump, id,
+                       ProfDumpRequest{ProfAction::kStart, 97, false});
        },
        [](std::uint64_t id) {
-         return EncodeProfDumpResult(id, ProfDumpResult{"{\"running\":true}"});
+         return Encode(MessageType::kProfDumpResult, id,
+                       TextResult{"{\"running\":true}"});
        }},
       {"ProfStop", false,
        [](ExplainClient& c) { return OutcomeOf(c.ProfStop()); },
        [](std::uint64_t id, std::uint64_t, std::uint32_t) {
-         return EncodeProfDumpRequest(id,
-                                      ProfDumpRequest{ProfAction::kStop, 0, false});
+         return Encode(MessageType::kProfDump, id,
+                       ProfDumpRequest{ProfAction::kStop, 0, false});
        },
        [](std::uint64_t id) {
-         return EncodeProfDumpResult(id, ProfDumpResult{"{\"running\":false}"});
+         return Encode(MessageType::kProfDumpResult, id,
+                       TextResult{"{\"running\":false}"});
        }},
       {"ProfDump", false,
        [](ExplainClient& c) { return OutcomeOf(c.ProfDump(true)); },
        [](std::uint64_t id, std::uint64_t, std::uint32_t) {
-         return EncodeProfDumpRequest(id,
-                                      ProfDumpRequest{ProfAction::kDump, 0, true});
+         return Encode(MessageType::kProfDump, id,
+                       ProfDumpRequest{ProfAction::kDump, 0, true});
        },
        [](std::uint64_t id) {
-         return EncodeProfDumpResult(id, ProfDumpResult{"main;burn 3\n"});
+         return Encode(MessageType::kProfDumpResult, id,
+                       TextResult{"main;burn 3\n"});
        }},
   };
 }
@@ -239,9 +248,9 @@ Bytes WrongTypeReply(const Bytes& good, std::uint64_t id) {
   MessageHeader header;
   DecodeHeader(reader, &header);
   if (header.type == MessageType::kScoreResult) {
-    return EncodeStatsResult(id, TextResult{"{}"});
+    return Encode(MessageType::kStatsResult, id, TextResult{"{}"});
   }
-  return EncodeScoreResult(id, ScoreResult{{1.0, 2.0}});
+  return Encode(MessageType::kScoreResult, id, ScoreResult{{1.0, 2.0}});
 }
 
 constexpr std::uint32_t kDeadlineMs = 250;
@@ -260,7 +269,7 @@ TEST_P(ExplainClientDecodeTest, EveryReplyShapeIsHandled) {
   ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), &error)) << error;
 
   std::uint64_t id = 0;
-  // Each call must send exactly its Encode*Request bytes.
+  // Each call must send exactly its encoded request bytes.
   const auto expect_request_bytes = [&] {
     ++id;
     const std::uint64_t trace_id = call.traced ? client.last_trace_id() : 0;
@@ -274,7 +283,8 @@ TEST_P(ExplainClientDecodeTest, EveryReplyShapeIsHandled) {
   };
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeError(header.request_id, "scripted failure");
+    return Encode(MessageType::kError, header.request_id,
+                  TextResult{"scripted failure"});
   });
   Outcome outcome = call.call(client);
   EXPECT_EQ(outcome.status, ClientStatus::kServerError);
@@ -320,8 +330,8 @@ TEST(ExplainClientTest, GoodRepliesDecodeIntoTheirFields) {
   ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), &error)) << error;
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeOnlineExplainResult(header.request_id,
-                                     OnlineExplainResult{5, 6, OneRanking()});
+    return Encode(MessageType::kOnlineExplainResult, header.request_id,
+                  OnlineExplainResult{5, 6, OneRanking()});
   });
   const ExplainClient::OnlineExplainReply online =
       client.OnlineExplain("stream", "LODA", "Beam", 0, 2);
@@ -333,7 +343,8 @@ TEST(ExplainClientTest, GoodRepliesDecodeIntoTheirFields) {
   EXPECT_EQ(online.ranking.scores, OneRanking().scores);
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeIngestResult(header.request_id, IngestResult{2, 7, 64, 130, 1});
+    return Encode(MessageType::kIngestResult, header.request_id,
+                  IngestResult{2, 7, 64, 130, 1});
   });
   const ExplainClient::IngestReply ingest = client.Ingest("stream", 1, {1.0});
   ASSERT_TRUE(ingest.ok()) << ingest.error;
@@ -341,7 +352,8 @@ TEST(ExplainClientTest, GoodRepliesDecodeIntoTheirFields) {
   EXPECT_EQ(ingest.result.total_ingested, 130u);
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeStatsResult(header.request_id, TextResult{"{\"ok\":1}"});
+    return Encode(MessageType::kStatsResult, header.request_id,
+                  TextResult{"{\"ok\":1}"});
   });
   const ExplainClient::StatsReply stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.error;
@@ -358,13 +370,15 @@ TEST(ExplainClientTest, StringRepliesRequireTheirOwnType) {
   ASSERT_TRUE(client.Connect("127.0.0.1", peer.port(), &error)) << error;
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeStatsResult(header.request_id, TextResult{"{}"});
+    return Encode(MessageType::kStatsResult, header.request_id,
+                  TextResult{"{}"});
   });
   EXPECT_EQ(client.TraceDump().status, ClientStatus::kTransportError);
   EXPECT_EQ(client.ProfDump().status, ClientStatus::kTransportError);
 
   peer.set_script([](const MessageHeader& header) {
-    return EncodeTraceDumpResult(header.request_id, TextResult{"{}"});
+    return Encode(MessageType::kTraceDumpResult, header.request_id,
+                  TextResult{"{}"});
   });
   EXPECT_EQ(client.Stats().status, ClientStatus::kTransportError);
   EXPECT_EQ(client.ProfStart().status, ClientStatus::kTransportError);

@@ -144,7 +144,8 @@ TEST(ProtocolTest, ScoreRequestRoundTrip) {
   ScoreRequest request;
   request.detector = "LOF";
   request.subspace = Subspace({3, 1, 7});
-  const std::vector<std::uint8_t> payload = EncodeScoreRequest(42, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kScore, 42,
+                                                   request);
 
   WireReader reader(payload);
   MessageHeader header;
@@ -153,7 +154,7 @@ TEST(ProtocolTest, ScoreRequestRoundTrip) {
   EXPECT_EQ(header.type, MessageType::kScore);
   EXPECT_EQ(header.request_id, 42u);
   ScoreRequest back;
-  ASSERT_TRUE(DecodeScoreRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.detector, "LOF");
   EXPECT_EQ(back.subspace, Subspace({1, 3, 7}));
 }
@@ -165,14 +166,15 @@ TEST(ProtocolTest, ExplainRequestRoundTrip) {
   request.point = 123;
   request.target_dim = 3;
   request.max_results = 10;
-  const std::vector<std::uint8_t> payload = EncodeExplainRequest(7, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kExplain, 7,
+                                                   request);
 
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kExplain);
   ExplainRequest back;
-  ASSERT_TRUE(DecodeExplainRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.detector, "iForest");
   EXPECT_EQ(back.explainer, "Beam");
   EXPECT_EQ(back.point, 123);
@@ -184,7 +186,8 @@ TEST(ProtocolTest, ExplainResultRoundTripPreservesRankingExactly) {
   ExplainResult result;
   result.ranking.Add(Subspace({0, 2}), 3.75);
   result.ranking.Add(Subspace({1, 4}), -0.5);
-  const std::vector<std::uint8_t> payload = EncodeExplainResult(9, result);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kExplainResult,
+                                                   9, result);
 
   WireReader reader(payload);
   MessageHeader header;
@@ -192,14 +195,15 @@ TEST(ProtocolTest, ExplainResultRoundTripPreservesRankingExactly) {
   EXPECT_EQ(header.type, MessageType::kExplainResult);
   EXPECT_EQ(header.request_id, 9u);
   ExplainResult back;
-  ASSERT_TRUE(DecodeExplainResult(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.ranking.subspaces, result.ranking.subspaces);
   EXPECT_EQ(back.ranking.scores, result.ranking.scores);
 }
 
 TEST(ProtocolTest, BusyAndErrorRoundTrip) {
   {
-    const std::vector<std::uint8_t> payload = EncodeBusy(5);
+    const std::vector<std::uint8_t> payload = Encode(MessageType::kBusy, 5,
+                                                     EmptyBody{});
     WireReader reader(payload);
     MessageHeader header;
     ASSERT_TRUE(DecodeHeader(reader, &header));
@@ -207,25 +211,27 @@ TEST(ProtocolTest, BusyAndErrorRoundTrip) {
     EXPECT_TRUE(reader.AtEnd());
   }
   {
-    const std::vector<std::uint8_t> payload = EncodeError(6, "nope");
+    const std::vector<std::uint8_t> payload = Encode(MessageType::kError, 6,
+                                                     TextResult{"nope"});
     WireReader reader(payload);
     MessageHeader header;
     ASSERT_TRUE(DecodeHeader(reader, &header));
     EXPECT_EQ(header.type, MessageType::kError);
     TextResult text;
-    ASSERT_TRUE(DecodeTextResult(reader, &text));
+    ASSERT_TRUE(Decode(reader, &text));
     EXPECT_EQ(text.text, "nope");
   }
 }
 
 TEST(ProtocolTest, BodyDecodersRejectTrailingBytes) {
-  std::vector<std::uint8_t> payload = EncodeStatsRequest(1);
+  std::vector<std::uint8_t> payload = Encode(MessageType::kStats, 1,
+                                             StatsRequest{});
   payload.push_back(0xFF);  // Junk after a well-formed message.
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   TextResult text;
-  EXPECT_FALSE(DecodeTextResult(reader, &text));
+  EXPECT_FALSE(Decode(reader, &text));
 }
 
 TEST(ProtocolTest, RequestTypePredicate) {
@@ -249,24 +255,26 @@ TEST(ProtocolTest, IngestRequestRoundTripValidatesRowTiling) {
   request.dataset = "stream";
   request.num_rows = 2;
   request.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const std::vector<std::uint8_t> payload = EncodeIngestRequest(11, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kIngest, 11,
+                                                   request);
 
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kIngest);
   IngestRequest back;
-  ASSERT_TRUE(DecodeIngestRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.dataset, "stream");
   EXPECT_EQ(back.num_rows, 2u);
   EXPECT_EQ(back.values, request.values);
 
   // 5 values cannot tile into 2 rows: the decoder must reject it.
   request.values.pop_back();
-  const std::vector<std::uint8_t> bad = EncodeIngestRequest(12, request);
+  const std::vector<std::uint8_t> bad = Encode(MessageType::kIngest, 12,
+                                               request);
   WireReader bad_reader(bad);
   ASSERT_TRUE(DecodeHeader(bad_reader, &header));
-  EXPECT_FALSE(DecodeIngestRequest(bad_reader, &back));
+  EXPECT_FALSE(Decode(bad_reader, &back));
 }
 
 TEST(ProtocolTest, IngestResultRoundTrip) {
@@ -276,13 +284,14 @@ TEST(ProtocolTest, IngestResultRoundTrip) {
   result.window_size = 512;
   result.total_ingested = 99999;
   result.advances = 3;
-  const std::vector<std::uint8_t> payload = EncodeIngestResult(13, result);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kIngestResult,
+                                                   13, result);
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kIngestResult);
   IngestResult back;
-  ASSERT_TRUE(DecodeIngestResult(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.accepted, 7u);
   EXPECT_EQ(back.window_epoch, 41u);
   EXPECT_EQ(back.window_size, 512u);
@@ -296,13 +305,13 @@ TEST(ProtocolTest, OnlineScoreRoundTrip) {
   request.detector = "LODA";
   request.subspace = Subspace({2, 4});
   const std::vector<std::uint8_t> payload =
-      EncodeOnlineScoreRequest(21, request);
+      Encode(MessageType::kOnlineScore, 21, request);
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kOnlineScore);
   OnlineScoreRequest back;
-  ASSERT_TRUE(DecodeOnlineScoreRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.dataset, "stream");
   EXPECT_EQ(back.detector, "LODA");
   EXPECT_EQ(back.subspace, Subspace({2, 4}));
@@ -311,12 +320,12 @@ TEST(ProtocolTest, OnlineScoreRoundTrip) {
   result.epoch = 17;
   result.scores = {0.5, -1.25, 3.0};
   const std::vector<std::uint8_t> result_payload =
-      EncodeOnlineScoreResult(21, result);
+      Encode(MessageType::kOnlineScoreResult, 21, result);
   WireReader result_reader(result_payload);
   ASSERT_TRUE(DecodeHeader(result_reader, &header));
   EXPECT_EQ(header.type, MessageType::kOnlineScoreResult);
   OnlineScoreResult result_back;
-  ASSERT_TRUE(DecodeOnlineScoreResult(result_reader, &result_back));
+  ASSERT_TRUE(Decode(result_reader, &result_back));
   EXPECT_EQ(result_back.epoch, 17u);
   EXPECT_EQ(result_back.scores, result.scores);
 }
@@ -330,13 +339,13 @@ TEST(ProtocolTest, OnlineExplainRoundTripCarriesFreshnessEpochs) {
   request.target_dim = 2;
   request.max_results = 5;
   const std::vector<std::uint8_t> payload =
-      EncodeOnlineExplainRequest(31, request);
+      Encode(MessageType::kOnlineExplain, 31, request);
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kOnlineExplain);
   OnlineExplainRequest back;
-  ASSERT_TRUE(DecodeOnlineExplainRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.dataset, "stream");
   EXPECT_EQ(back.detector, "LODA");
   EXPECT_EQ(back.explainer, "Beam");
@@ -349,12 +358,12 @@ TEST(ProtocolTest, OnlineExplainRoundTripCarriesFreshnessEpochs) {
   result.current_epoch = 42;  // A stale serve: 2 epochs behind.
   result.ranking.Add(Subspace({0, 3}), 1.5);
   const std::vector<std::uint8_t> result_payload =
-      EncodeOnlineExplainResult(31, result);
+      Encode(MessageType::kOnlineExplainResult, 31, result);
   WireReader result_reader(result_payload);
   ASSERT_TRUE(DecodeHeader(result_reader, &header));
   EXPECT_EQ(header.type, MessageType::kOnlineExplainResult);
   OnlineExplainResult result_back;
-  ASSERT_TRUE(DecodeOnlineExplainResult(result_reader, &result_back));
+  ASSERT_TRUE(Decode(result_reader, &result_back));
   EXPECT_EQ(result_back.computed_epoch, 40u);
   EXPECT_EQ(result_back.current_epoch, 42u);
   EXPECT_EQ(result_back.ranking.subspaces, result.ranking.subspaces);
@@ -368,7 +377,7 @@ TEST(ProtocolTest, PreOnlineScoreFrameIsByteIdenticalGolden) {
   request.detector = "LOF";
   request.subspace = Subspace({0, 1});
   const std::vector<std::uint8_t> payload =
-      EncodeScoreRequest(0x0102030405060708ull, request);
+      Encode(MessageType::kScore, 0x0102030405060708ull, request);
   const std::vector<std::uint8_t> golden = {
       0x01,                                            // version
       0x01,                                            // kScore, no flag
@@ -390,7 +399,8 @@ TEST(ProtocolTest, UntracedFramesKeepTheOldFixedHeaderFormat) {
   ScoreRequest request;
   request.detector = "LOF";
   request.subspace = Subspace({0, 1});
-  const std::vector<std::uint8_t> payload = EncodeScoreRequest(3, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kScore, 3,
+                                                   request);
   // Old format: version byte, bare type byte (high bit clear), 8-byte id.
   EXPECT_EQ(payload[0], kProtocolVersion);
   EXPECT_EQ(payload[1], static_cast<std::uint8_t>(MessageType::kScore));
@@ -403,7 +413,7 @@ TEST(ProtocolTest, UntracedFramesKeepTheOldFixedHeaderFormat) {
   EXPECT_EQ(header.trace_id, 0u);
   EXPECT_EQ(EncodedHeaderBytes(header), kMessageHeaderBytes);
   ScoreRequest back;
-  EXPECT_TRUE(DecodeScoreRequest(reader, &back));
+  EXPECT_TRUE(Decode(reader, &back));
 }
 
 TEST(ProtocolTest, TracedRequestRoundTripsTheTraceId) {
@@ -412,7 +422,7 @@ TEST(ProtocolTest, TracedRequestRoundTripsTheTraceId) {
   request.detector = "LOF";
   request.explainer = "Beam";
   const std::vector<std::uint8_t> payload =
-      EncodeExplainRequest(11, request, kTraceId);
+      Encode(MessageType::kExplain, 11, request, kTraceId);
   EXPECT_EQ(payload[1],
             static_cast<std::uint8_t>(MessageType::kExplain) | kTraceIdFlag);
 
@@ -424,15 +434,17 @@ TEST(ProtocolTest, TracedRequestRoundTripsTheTraceId) {
   EXPECT_EQ(header.trace_id, kTraceId);
   EXPECT_EQ(EncodedHeaderBytes(header), kMessageHeaderBytes + 8);
   ExplainRequest back;
-  ASSERT_TRUE(DecodeExplainRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.detector, "LOF");
 }
 
 TEST(ProtocolTest, TraceIdZeroEncodesAsUntraced) {
   // 0 is the "no trace" sentinel: the flag must not be set, so the frame
   // stays byte-identical to one from a pre-extension client.
-  const std::vector<std::uint8_t> with = EncodeStatsRequest(9, 0);
-  const std::vector<std::uint8_t> without = EncodeStatsRequest(9);
+  const std::vector<std::uint8_t> with = Encode(MessageType::kStats, 9,
+                                                StatsRequest{}, 0);
+  const std::vector<std::uint8_t> without = Encode(MessageType::kStats, 9,
+                                                   StatsRequest{});
   EXPECT_EQ(with, without);
   EXPECT_EQ(with[1] & kTraceIdFlag, 0);
 }
@@ -441,7 +453,8 @@ TEST(ProtocolTest, TruncatedTraceHeaderTripsTheReaderError) {
   ScoreRequest request;
   request.detector = "LOF";
   request.subspace = Subspace({0});
-  std::vector<std::uint8_t> payload = EncodeScoreRequest(1, request, 77);
+  std::vector<std::uint8_t> payload = Encode(MessageType::kScore, 1, request,
+                                             77);
   // Flagged header but the frame ends inside the trace id bytes.
   payload.resize(kMessageHeaderBytes + 4);
   WireReader reader(payload);
@@ -465,22 +478,24 @@ TEST(ProtocolTest, FlagOnlyHeaderWithNoBodyFailsCleanly) {
 TEST(ProtocolTest, TraceDumpRequestRoundTrip) {
   TraceDumpRequest request;
   request.clear = true;
-  const std::vector<std::uint8_t> payload = EncodeTraceDumpRequest(4, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kTraceDump, 4,
+                                                   request);
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kTraceDump);
   TraceDumpRequest back;
-  ASSERT_TRUE(DecodeTraceDumpRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_TRUE(back.clear);
 
   const std::vector<std::uint8_t> result =
-      EncodeTraceDumpResult(4, TextResult{"{\"traceEvents\":[]}"});
+      Encode(MessageType::kTraceDumpResult, 4,
+             TextResult{"{\"traceEvents\":[]}"});
   WireReader result_reader(result);
   ASSERT_TRUE(DecodeHeader(result_reader, &header));
   EXPECT_EQ(header.type, MessageType::kTraceDumpResult);
   TextResult text;
-  ASSERT_TRUE(DecodeTextResult(result_reader, &text));
+  ASSERT_TRUE(Decode(result_reader, &text));
   EXPECT_EQ(text.text, "{\"traceEvents\":[]}");
 }
 
@@ -492,14 +507,14 @@ TEST(ProtocolTest, ProfDumpRequestRoundTripAllActions) {
     request.sample_hz = 997;
     request.clear = action == ProfAction::kDump;
     const std::vector<std::uint8_t> payload =
-        EncodeProfDumpRequest(11, request);
+        Encode(MessageType::kProfDump, 11, request);
     WireReader reader(payload);
     MessageHeader header;
     ASSERT_TRUE(DecodeHeader(reader, &header));
     EXPECT_EQ(header.type, MessageType::kProfDump);
     EXPECT_EQ(header.request_id, 11u);
     ProfDumpRequest back;
-    ASSERT_TRUE(DecodeProfDumpRequest(reader, &back));
+    ASSERT_TRUE(Decode(reader, &back));
     EXPECT_EQ(back.action, action);
     EXPECT_EQ(back.sample_hz, 997u);
     EXPECT_EQ(back.clear, request.clear);
@@ -516,7 +531,8 @@ TEST(ProtocolTest, ProfDumpRequestGoldenBytes) {
   request.action = ProfAction::kStart;
   request.sample_hz = 0x12345678;
   request.clear = true;
-  const std::vector<std::uint8_t> payload = EncodeProfDumpRequest(5, request);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kProfDump, 5,
+                                                   request);
   const std::vector<std::uint8_t> expected = {
       kProtocolVersion,
       static_cast<std::uint8_t>(MessageType::kProfDump),  // 8
@@ -530,7 +546,8 @@ TEST(ProtocolTest, ProfDumpRequestGoldenBytes) {
 
 TEST(ProtocolTest, ProfDumpRequestRejectsUnknownActionAndTrailingBytes) {
   ProfDumpRequest request;
-  std::vector<std::uint8_t> payload = EncodeProfDumpRequest(5, request);
+  std::vector<std::uint8_t> payload = Encode(MessageType::kProfDump, 5,
+                                             request);
   // Action byte sits right after the 10-byte header.
   payload[10] = 9;
   {
@@ -538,7 +555,7 @@ TEST(ProtocolTest, ProfDumpRequestRejectsUnknownActionAndTrailingBytes) {
     MessageHeader header;
     ASSERT_TRUE(DecodeHeader(reader, &header));
     ProfDumpRequest back;
-    EXPECT_FALSE(DecodeProfDumpRequest(reader, &back));
+    EXPECT_FALSE(Decode(reader, &back));
   }
   payload[10] = 0;
   payload.push_back(0xFF);  // Trailing garbage must be rejected.
@@ -547,7 +564,7 @@ TEST(ProtocolTest, ProfDumpRequestRejectsUnknownActionAndTrailingBytes) {
     MessageHeader header;
     ASSERT_TRUE(DecodeHeader(reader, &header));
     ProfDumpRequest back;
-    EXPECT_FALSE(DecodeProfDumpRequest(reader, &back));
+    EXPECT_FALSE(Decode(reader, &back));
   }
 }
 
@@ -561,8 +578,10 @@ TEST(ProtocolTest, DeadlineStampedRequestGoldenBytes) {
   ScoreRequest request;
   request.detector = "LOF";
   request.subspace = Subspace({0, 1});
-  const std::vector<std::uint8_t> payload = EncodeScoreRequest(
-      0x0102030405060708ull, request, /*trace_id=*/0, /*deadline_ms=*/0x1234);
+  const std::vector<std::uint8_t> payload = Encode(MessageType::kScore,
+                                                   0x0102030405060708ull,
+                                                   request, /*trace_id=*/0,
+                                                   /*deadline_ms=*/0x1234);
   const std::vector<std::uint8_t> golden = {
       0x81,                                            // version | deadline
       0x01,                                            // kScore, no trace
@@ -584,7 +603,7 @@ TEST(ProtocolTest, DeadlineStampedRequestGoldenBytes) {
   EXPECT_FALSE(header.has_trace_id);
   EXPECT_EQ(EncodedHeaderBytes(header), kMessageHeaderBytes + 4);
   ScoreRequest back;
-  ASSERT_TRUE(DecodeScoreRequest(reader, &back));
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.detector, "LOF");
 }
 
@@ -593,8 +612,9 @@ TEST(ProtocolTest, DeadlineZeroKeepsTheFrameByteIdenticalToOldClients) {
   request.detector = "LOF";
   request.subspace = Subspace({0, 1});
   const std::vector<std::uint8_t> with =
-      EncodeScoreRequest(3, request, 0, /*deadline_ms=*/0);
-  const std::vector<std::uint8_t> without = EncodeScoreRequest(3, request);
+      Encode(MessageType::kScore, 3, request, 0, /*deadline_ms=*/0);
+  const std::vector<std::uint8_t> without = Encode(MessageType::kScore, 3,
+                                                   request);
   EXPECT_EQ(with, without);
   EXPECT_EQ(with[0], kProtocolVersion);
   EXPECT_EQ(with[0] & kDeadlineFlag, 0);
@@ -603,7 +623,8 @@ TEST(ProtocolTest, DeadlineZeroKeepsTheFrameByteIdenticalToOldClients) {
 TEST(ProtocolTest, TraceIdAndDeadlineComposeInOrder) {
   constexpr std::uint64_t kTraceId = 0xfeedfacecafebeefULL;
   const std::vector<std::uint8_t> payload =
-      EncodeStatsRequest(9, kTraceId, /*deadline_ms=*/250);
+      Encode(MessageType::kStats, 9, StatsRequest{}, kTraceId,
+             /*deadline_ms=*/250);
   EXPECT_EQ(payload[0], kProtocolVersion | kDeadlineFlag);
   EXPECT_EQ(payload[1],
             static_cast<std::uint8_t>(MessageType::kStats) | kTraceIdFlag);
@@ -621,7 +642,8 @@ TEST(ProtocolTest, TraceIdAndDeadlineComposeInOrder) {
 
 TEST(ProtocolTest, TruncatedDeadlineHeaderFailsCleanly) {
   std::vector<std::uint8_t> payload =
-      EncodeStatsRequest(9, /*trace_id=*/0, /*deadline_ms=*/250);
+      Encode(MessageType::kStats, 9, StatsRequest{}, /*trace_id=*/0,
+             /*deadline_ms=*/250);
   payload.resize(kMessageHeaderBytes + 2);  // Ends inside the deadline u32.
   WireReader reader(payload);
   MessageHeader header;
@@ -630,7 +652,8 @@ TEST(ProtocolTest, TruncatedDeadlineHeaderFailsCleanly) {
 }
 
 TEST(ProtocolTest, DeadlineExceededResponseGoldenBytes) {
-  const std::vector<std::uint8_t> payload = EncodeDeadlineExceeded(7);
+  const std::vector<std::uint8_t> payload = Encode(
+      MessageType::kDeadlineExceeded, 7, EmptyBody{});
   const std::vector<std::uint8_t> golden = {
       kProtocolVersion,
       static_cast<std::uint8_t>(MessageType::kDeadlineExceeded),  // 102
@@ -648,14 +671,15 @@ TEST(ProtocolTest, DeadlineExceededResponseGoldenBytes) {
 
 TEST(ProtocolTest, ProfDumpResultRoundTrip) {
   const std::vector<std::uint8_t> payload =
-      EncodeProfDumpResult(7, ProfDumpResult{"main;Lof::Score 42\n"});
+      Encode(MessageType::kProfDumpResult, 7,
+             TextResult{"main;Lof::Score 42\n"});
   WireReader reader(payload);
   MessageHeader header;
   ASSERT_TRUE(DecodeHeader(reader, &header));
   EXPECT_EQ(header.type, MessageType::kProfDumpResult);
   EXPECT_EQ(header.request_id, 7u);
-  ProfDumpResult back;
-  ASSERT_TRUE(DecodeProfDumpResult(reader, &back));
+  TextResult back;
+  ASSERT_TRUE(Decode(reader, &back));
   EXPECT_EQ(back.text, "main;Lof::Score 42\n");
 }
 
