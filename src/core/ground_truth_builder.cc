@@ -5,6 +5,8 @@
 #include <span>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "detect/detector.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "subspace/enumeration.h"
@@ -21,10 +23,12 @@ GroundTruth BuildGroundTruthByExhaustiveSearch(
   const std::vector<int>& outliers = data.outlier_indices();
   SUBEX_CHECK_MSG(!outliers.empty(), "dataset has no points of interest");
 
-  // Chunked so at most kChunk score vectors are pinned at once — exhaustive
-  // sweeps reach tens of thousands of candidates on the 30d datasets.
+  // Chunked so the kept rows stay small — exhaustive sweeps reach tens of
+  // thousands of candidates on the 30d datasets.
   constexpr std::size_t kChunk = 512;
 
+  const CachingDetector cached(service);
+  const ThreadPool::Scope scope(service.pool());
   Histogram& sweep_histogram =
       MetricsRegistry::Global().GetHistogram("gt.search");
   GroundTruth ground_truth;
@@ -37,13 +41,23 @@ GroundTruth BuildGroundTruthByExhaustiveSearch(
         outliers.size(), -std::numeric_limits<double>::infinity());
     std::vector<int> best_subspace(outliers.size(), -1);
 
+    // Candidates score in parallel, keeping only the outliers' rows; the
+    // reduce then walks them in candidate order, so ties keep the lowest
+    // index whatever order the pool finished them in.
+    std::vector<double> rows(kChunk * outliers.size());
     for (std::size_t begin = 0; begin < candidates.size(); begin += kChunk) {
       const std::size_t end = std::min(begin + kChunk, candidates.size());
-      const std::vector<ScoreVectorPtr> scores = service.ScoreMany(
-          std::span<const Subspace>(candidates.data() + begin, end - begin));
-      for (std::size_t j = 0; j < scores.size(); ++j) {
+      ScoreStandardizedEach(
+          cached, data,
+          std::span<const Subspace>(candidates.data() + begin, end - begin),
+          [&](std::size_t j, const std::vector<double>& scores) {
+            for (std::size_t i = 0; i < outliers.size(); ++i) {
+              rows[j * outliers.size() + i] = scores[outliers[i]];
+            }
+          });
+      for (std::size_t j = 0; j < end - begin; ++j) {
         for (std::size_t i = 0; i < outliers.size(); ++i) {
-          const double s = (*scores[j])[outliers[i]];
+          const double s = rows[j * outliers.size() + i];
           if (s > best_score[i]) {
             best_score[i] = s;
             best_subspace[i] = static_cast<int>(begin + j);

@@ -22,11 +22,11 @@ struct GroundTruthBuilderOptions {
 /// Ties go to the first candidate in `EnumerateSubspaces` order.
 ///
 /// The result assigns each outlier exactly one relevant subspace per
-/// dimensionality. Candidates are scored through `service.ScoreMany` in
-/// fixed-size chunks, so the sweep parallelizes on the service's pool; the
-/// result does not depend on the pool or the cache. An exhaustive sweep
-/// never repeats a subspace, so a service with `enable_cache = false` and
-/// no pool is the plain serial search.
+/// dimensionality. Candidates are scored through the service with
+/// `ScoreStandardizedEach` in fixed-size chunks, so the sweep parallelizes
+/// on the service's pool; the result does not depend on the pool or the
+/// cache. An exhaustive sweep never repeats a subspace, so a service with
+/// `enable_cache = false` and no pool is the plain serial search.
 GroundTruth BuildGroundTruthByExhaustiveSearch(
     ScoringService& service, const GroundTruthBuilderOptions& options);
 

@@ -134,41 +134,6 @@ ScoreVectorPtr ScoringService::ComputeAndPublish(
   return value;
 }
 
-std::vector<ScoreVectorPtr> ScoringService::ScoreMany(
-    std::span<const Subspace> subspaces) {
-  std::vector<ScoreVectorPtr> results(subspaces.size());
-  if (subspaces.empty()) return results;
-
-  // Group duplicate subspaces: each unique key is requested once and fanned
-  // back out, so batch-internal duplicates count as dedup joins.
-  std::unordered_map<Subspace, std::vector<std::size_t>, SubspaceHash> groups;
-  groups.reserve(subspaces.size());
-  for (std::size_t i = 0; i < subspaces.size(); ++i) {
-    auto& indices = groups[subspaces[i]];
-    if (!indices.empty()) stats_->RecordDedupJoin();
-    indices.push_back(i);
-  }
-  std::vector<const std::vector<std::size_t>*> fan_out;
-  std::vector<const Subspace*> unique;
-  unique.reserve(groups.size());
-  fan_out.reserve(groups.size());
-  for (const auto& [subspace, indices] : groups) {
-    unique.push_back(&subspace);
-    fan_out.push_back(&indices);
-  }
-
-  auto score_one = [&](std::size_t u) {
-    ScoreVectorPtr v = Score(*unique[u]);
-    for (std::size_t i : *fan_out[u]) results[i] = v;
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(unique.size(), score_one);
-  } else {
-    for (std::size_t u = 0; u < unique.size(); ++u) score_one(u);
-  }
-  return results;
-}
-
 std::vector<double> CachingDetector::Score(const Dataset& data,
                                            const Subspace& subspace) const {
   SUBEX_CHECK_MSG(

@@ -4,7 +4,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,14 +32,14 @@ struct ScoringServiceOptions {
 /// and serves the **standardized** score vector of any subspace, the exact
 /// bytes `ScoreStandardized(detector, data, subspace)` would produce.
 ///
-/// Three mechanisms make repeated/overlapping scoring cheap:
+/// Two mechanisms make repeated/overlapping scoring cheap:
 ///  * a sharded LRU `ScoreCache` keyed by `(detector name, subspace)`
 ///    remembers recently served vectors within an entry/byte budget;
 ///  * **single-flight deduplication**: concurrent requests for the same
 ///    uncached subspace block on one in-flight computation (a
-///    `shared_future` per key) instead of recomputing it N times;
-///  * `ScoreMany` fans the *unique uncached* keys of a batch out over a
-///    `ThreadPool` with dynamic balancing.
+///    `shared_future` per key) instead of recomputing it N times.
+/// Batches fan out through `ScoreStandardizedEach` on a `CachingDetector`
+/// under a `ThreadPool::Scope` of `pool()`.
 ///
 /// All methods are safe to call concurrently. Determinism: detectors are
 /// pure (stochastic ones seed from the subspace identity), so a cached
@@ -61,12 +60,6 @@ class ScoringService {
   /// from cache when possible; otherwise computed once, even under
   /// concurrent identical requests.
   ScoreVectorPtr Score(const Subspace& subspace);
-
-  /// Batch variant: scores each requested subspace, computing the unique
-  /// uncached ones in parallel on the pool (sequentially without one).
-  /// `results[i]` corresponds to `subspaces[i]`; duplicates share one
-  /// computation.
-  std::vector<ScoreVectorPtr> ScoreMany(std::span<const Subspace> subspaces);
 
   /// Counter snapshot (hits/misses/dedup-joins/evictions/compute-ns).
   ServiceStatsSnapshot stats() const { return stats_->snapshot(); }

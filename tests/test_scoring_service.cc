@@ -155,27 +155,6 @@ TEST(ScoringServiceTest, SingleFlightAlsoDedupsWithCacheDisabled) {
   EXPECT_EQ(counting.computes(), 2);
 }
 
-TEST(ScoringServiceTest, ScoreManyMatchesDirectAndSharesDuplicates) {
-  const SyntheticDataset d = SmallHics();
-  const Lof lof(15);
-  ThreadPool pool(4);
-  ScoringService service(lof, d.dataset, ScoringServiceOptions{}, &pool);
-
-  std::vector<Subspace> batch = EnumerateSubspaces(7, 2);
-  batch.push_back(batch.front());  // Duplicate within the batch.
-  batch.push_back(batch[3]);
-  const std::vector<ScoreVectorPtr> results = service.ScoreMany(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_NE(results[i], nullptr);
-    EXPECT_EQ(*results[i], ScoreStandardized(lof, d.dataset, batch[i]));
-  }
-  EXPECT_EQ(results.back(), results[3]) << "duplicates share one vector";
-  const ServiceStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.misses, 21u);
-  EXPECT_EQ(stats.dedup_joins, 2u);
-}
-
 TEST(ScoringServiceTest, StressOverlappingWritersMatchDirectScores) {
   const SyntheticDataset d = SmallHics();
   IsolationForest::Options forest_options;
