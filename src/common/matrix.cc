@@ -30,19 +30,6 @@ void Matrix::AppendRow(std::span<const double> row) {
   ++rows_;
 }
 
-Matrix Matrix::SelectColumns(std::span<const int> columns) const {
-  Matrix out(rows_, columns.size());
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* src = data_.data() + r * cols_;
-    for (std::size_t j = 0; j < columns.size(); ++j) {
-      SUBEX_DCHECK(columns[j] >= 0 &&
-                   static_cast<std::size_t>(columns[j]) < cols_);
-      out(r, j) = src[columns[j]];
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::SelectRows(std::span<const int> rows) const {
   Matrix out(rows.size(), cols_);
   for (std::size_t i = 0; i < rows.size(); ++i) {

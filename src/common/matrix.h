@@ -70,10 +70,6 @@ class Matrix {
   /// the matrix is still empty).
   void AppendRow(std::span<const double> row);
 
-  /// Returns a new matrix containing only the listed columns, in the given
-  /// order. Column indices must be in range.
-  Matrix SelectColumns(std::span<const int> columns) const;
-
   /// Returns a new matrix containing only the listed rows, in the given
   /// order. Row indices must be in range.
   Matrix SelectRows(std::span<const int> rows) const;

@@ -11,20 +11,6 @@ std::vector<int> Iota(std::size_t n) {
 
 }  // namespace
 
-std::vector<int> ArgsortAscending(std::span<const double> values) {
-  std::vector<int> idx = Iota(values.size());
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return values[a] < values[b]; });
-  return idx;
-}
-
-std::vector<int> ArgsortDescending(std::span<const double> values) {
-  std::vector<int> idx = Iota(values.size());
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return values[a] > values[b]; });
-  return idx;
-}
-
 std::vector<int> TopKIndices(std::span<const double> values, std::size_t k) {
   std::vector<int> idx = Iota(values.size());
   const std::size_t kk = std::min(k, values.size());
@@ -33,19 +19,6 @@ std::vector<int> TopKIndices(std::span<const double> values, std::size_t k) {
     return a < b;
   };
   std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(), greater);
-  idx.resize(kk);
-  return idx;
-}
-
-std::vector<int> BottomKIndices(std::span<const double> values,
-                                std::size_t k) {
-  std::vector<int> idx = Iota(values.size());
-  const std::size_t kk = std::min(k, values.size());
-  auto less = [&](int a, int b) {
-    if (values[a] != values[b]) return values[a] < values[b];
-    return a < b;
-  };
-  std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(), less);
   idx.resize(kk);
   return idx;
 }

@@ -9,21 +9,11 @@
 
 namespace subex {
 
-/// Indices that would sort `values` in ascending order.
-std::vector<int> ArgsortAscending(std::span<const double> values);
-
-/// Indices that would sort `values` in descending order.
-std::vector<int> ArgsortDescending(std::span<const double> values);
-
 /// Indices of the `k` largest values, ordered from largest to smallest.
 /// If `k >= values.size()` all indices are returned (fully sorted).
 /// Ties are broken by index (smaller index first) so results are
 /// deterministic.
 std::vector<int> TopKIndices(std::span<const double> values, std::size_t k);
-
-/// Indices of the `k` smallest values, ordered from smallest to largest,
-/// with the same tie-breaking and clamping behaviour as `TopKIndices`.
-std::vector<int> BottomKIndices(std::span<const double> values, std::size_t k);
 
 /// Rank of each element under descending order: the largest value gets rank
 /// 0. Ties are broken by index.

@@ -13,16 +13,6 @@ bool IsRelevant(const Subspace& s, const std::vector<Subspace>& relevant) {
 
 }  // namespace
 
-double PrecisionAtK(const std::vector<Subspace>& ranked,
-                    const std::vector<Subspace>& relevant, int k) {
-  SUBEX_CHECK(k >= 1 && static_cast<std::size_t>(k) <= ranked.size());
-  int hits = 0;
-  for (int i = 0; i < k; ++i) {
-    if (IsRelevant(ranked[i], relevant)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(k);
-}
-
 double AveragePrecision(const std::vector<Subspace>& ranked,
                         const std::vector<Subspace>& relevant) {
   if (relevant.empty()) return 0.0;

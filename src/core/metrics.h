@@ -7,14 +7,11 @@
 
 namespace subex {
 
-/// Precision@k (Eq. 1): fraction of the first `k` returned subspaces that
-/// are relevant. A returned subspace is relevant only if it is *identical*
-/// to a ground-truth subspace. `k` must be in [1, ranked.size()].
-double PrecisionAtK(const std::vector<Subspace>& ranked,
-                    const std::vector<Subspace>& relevant, int k);
-
 /// Average Precision (Eq. 2):
-///   AveP = sum_k P@k * rel(k) / |relevant|.
+///   AveP = sum_k P@k * rel(k) / |relevant|,
+/// where P@k (Eq. 1) is the fraction of the first `k` returned subspaces
+/// that are relevant. A returned subspace is relevant only if it is
+/// *identical* to a ground-truth subspace.
 /// Returns 0 when `relevant` is empty.
 double AveragePrecision(const std::vector<Subspace>& ranked,
                         const std::vector<Subspace>& relevant);

@@ -69,22 +69,4 @@ std::vector<double> Dataset::GatherColumns(
   return columns;
 }
 
-void Dataset::NormalizeMinMax() {
-  for (std::size_t f = 0; f < data_.cols(); ++f) {
-    double lo = data_(0, f);
-    double hi = lo;
-    for (std::size_t p = 1; p < data_.rows(); ++p) {
-      lo = std::min(lo, data_(p, f));
-      hi = std::max(hi, data_(p, f));
-    }
-    const double range = hi - lo;
-    for (std::size_t p = 0; p < data_.rows(); ++p) {
-      data_(p, f) = range > 1e-300 ? (data_(p, f) - lo) / range : 0.0;
-    }
-  }
-  // Reset the sorted-index cache: values changed.
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  for (auto& v : cache_->sorted_by_feature) v.clear();
-}
-
 }  // namespace subex

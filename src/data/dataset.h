@@ -65,11 +65,6 @@ class Dataset {
   /// this block instead of striding through the row-major matrix.
   std::vector<double> GatherColumns(std::span<const FeatureId> features) const;
 
-  /// Rescales every feature to [0, 1] in place (constant features map to 0).
-  /// Invalidates nothing: callers should normalize before the first use of
-  /// the sorted-index cache.
-  void NormalizeMinMax();
-
  private:
   Matrix data_;
   std::vector<int> outlier_indices_;

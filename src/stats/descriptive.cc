@@ -43,11 +43,6 @@ double SampleStdDev(std::span<const double> values) {
   return std::sqrt(SampleVariance(values));
 }
 
-double Min(std::span<const double> values) {
-  SUBEX_CHECK(!values.empty());
-  return *std::min_element(values.begin(), values.end());
-}
-
 double Max(std::span<const double> values) {
   SUBEX_CHECK(!values.empty());
   return *std::max_element(values.begin(), values.end());

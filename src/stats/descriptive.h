@@ -19,9 +19,6 @@ double PopulationVariance(std::span<const double> values);
 /// Square root of the unbiased sample variance.
 double SampleStdDev(std::span<const double> values);
 
-/// Minimum value; requires a non-empty span.
-double Min(std::span<const double> values);
-
 /// Maximum value; requires a non-empty span.
 double Max(std::span<const double> values);
 

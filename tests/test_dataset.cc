@@ -53,31 +53,6 @@ TEST(DatasetTest, SortedIndexIsCachedReference) {
   EXPECT_EQ(first, second);
 }
 
-TEST(DatasetTest, NormalizeMinMaxMapsToUnitInterval) {
-  Dataset d = MakeSmall();
-  d.NormalizeMinMax();
-  EXPECT_DOUBLE_EQ(d.Value(1, 0), 0.0);  // min of feature 0 (0.1).
-  EXPECT_DOUBLE_EQ(d.Value(2, 0), 1.0);  // max of feature 0 (0.9).
-  EXPECT_DOUBLE_EQ(d.Value(3, 1), 0.0);  // min of feature 1 (6.0).
-  EXPECT_DOUBLE_EQ(d.Value(0, 1), 1.0);  // max of feature 1 (9.0).
-}
-
-TEST(DatasetTest, NormalizeMinMaxConstantFeature) {
-  Matrix m = {{5.0}, {5.0}, {5.0}};
-  Dataset d(std::move(m));
-  d.NormalizeMinMax();
-  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(d.Value(p, 0), 0.0);
-}
-
-TEST(DatasetTest, NormalizeInvalidatesSortCache) {
-  Dataset d = MakeSmall();
-  (void)d.SortedIndexByFeature(0);
-  d.NormalizeMinMax();
-  // Order is unchanged by the affine map, but the cache must be rebuilt
-  // without crashing and still be correct.
-  EXPECT_EQ(d.SortedIndexByFeature(0), (std::vector<int>{1, 3, 0, 2}));
-}
-
 TEST(DatasetTest, CopySharesNothingObservable) {
   Dataset d = MakeSmall();
   Dataset copy = d;

@@ -31,9 +31,8 @@ TEST(DescriptiveTest, StdDevIsSqrtOfVariance) {
   EXPECT_NEAR(SampleStdDev(v), std::sqrt(SampleVariance(v)), 1e-15);
 }
 
-TEST(DescriptiveTest, MinMax) {
+TEST(DescriptiveTest, Max) {
   const std::vector<double> v = {3.0, -1.0, 7.0, 0.0};
-  EXPECT_EQ(Min(v), -1.0);
   EXPECT_EQ(Max(v), 7.0);
 }
 

@@ -65,17 +65,6 @@ TEST(MatrixTest, AppendRowGrowsAndSetsWidth) {
   EXPECT_EQ(m(1, 1), 5.0);
 }
 
-TEST(MatrixTest, SelectColumnsReorders) {
-  Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const std::vector<int> cols = {2, 0};
-  const Matrix s = m.SelectColumns(cols);
-  EXPECT_EQ(s.rows(), 2u);
-  EXPECT_EQ(s.cols(), 2u);
-  EXPECT_EQ(s(0, 0), 3.0);
-  EXPECT_EQ(s(0, 1), 1.0);
-  EXPECT_EQ(s(1, 0), 6.0);
-}
-
 TEST(MatrixTest, SelectRowsReorders) {
   Matrix m = {{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
   const std::vector<int> rows = {2, 2, 0};

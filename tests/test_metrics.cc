@@ -12,14 +12,6 @@ const Subspace kB({1, 2});
 const Subspace kC({2, 3});
 const Subspace kD({3, 4});
 
-TEST(PrecisionAtKTest, Basic) {
-  const std::vector<Subspace> ranked = {kA, kC, kB};
-  const std::vector<Subspace> relevant = {kA, kB};
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, relevant, 1), 1.0);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, relevant, 2), 0.5);
-  EXPECT_NEAR(PrecisionAtK(ranked, relevant, 3), 2.0 / 3.0, 1e-12);
-}
-
 TEST(AveragePrecisionTest, PerfectRanking) {
   const std::vector<Subspace> ranked = {kA, kB, kC, kD};
   const std::vector<Subspace> relevant = {kA, kB};

@@ -7,22 +7,6 @@
 namespace subex {
 namespace {
 
-TEST(TopkTest, ArgsortAscending) {
-  const std::vector<double> v = {3.0, 1.0, 2.0};
-  EXPECT_EQ(ArgsortAscending(v), (std::vector<int>{1, 2, 0}));
-}
-
-TEST(TopkTest, ArgsortDescending) {
-  const std::vector<double> v = {3.0, 1.0, 2.0};
-  EXPECT_EQ(ArgsortDescending(v), (std::vector<int>{0, 2, 1}));
-}
-
-TEST(TopkTest, ArgsortStableOnTies) {
-  const std::vector<double> v = {1.0, 2.0, 1.0, 2.0};
-  EXPECT_EQ(ArgsortAscending(v), (std::vector<int>{0, 2, 1, 3}));
-  EXPECT_EQ(ArgsortDescending(v), (std::vector<int>{1, 3, 0, 2}));
-}
-
 TEST(TopkTest, TopKBasic) {
   const std::vector<double> v = {0.5, 9.0, 3.0, 7.0};
   EXPECT_EQ(TopKIndices(v, 2), (std::vector<int>{1, 3}));
@@ -36,11 +20,6 @@ TEST(TopkTest, TopKClampsToSize) {
 TEST(TopkTest, TopKTieBreaksByIndex) {
   const std::vector<double> v = {5.0, 5.0, 5.0};
   EXPECT_EQ(TopKIndices(v, 2), (std::vector<int>{0, 1}));
-}
-
-TEST(TopkTest, BottomKBasic) {
-  const std::vector<double> v = {0.5, 9.0, 3.0, 7.0};
-  EXPECT_EQ(BottomKIndices(v, 2), (std::vector<int>{0, 2}));
 }
 
 TEST(TopkTest, TopKZero) {
