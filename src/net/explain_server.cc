@@ -503,17 +503,17 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   if (pool_ != nullptr) {
     pool_->Submit(
         [this, conn, header, admitted, body = std::move(payload)]() mutable {
-          HandleRequest(conn, header, std::move(body), admitted);
+          RunRequest(conn, header, std::move(body), admitted);
         });
   } else {
-    HandleRequest(conn, header, std::move(payload), admitted);
+    RunRequest(conn, header, std::move(payload), admitted);
   }
 }
 
-void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
-                                  MessageHeader header,
-                                  std::vector<std::uint8_t> payload,
-                                  Clock::time_point admitted) {
+void ExplainServer::RunRequest(const std::shared_ptr<Connection>& conn,
+                               MessageHeader header,
+                               std::vector<std::uint8_t> payload,
+                               Clock::time_point admitted) {
   const std::uint64_t queue_wait_ns = NsSince(admitted);
   queue_wait_histogram_->Record(queue_wait_ns);
 

@@ -175,9 +175,9 @@ class ExplainServer {
   /// `admitted` is the admission instant — queue wait (admission to start
   /// of compute) and end-to-end latency (admission to response enqueued)
   /// both measure from it.
-  void HandleRequest(const std::shared_ptr<Connection>& conn,
-                     MessageHeader header, std::vector<std::uint8_t> payload,
-                     std::chrono::steady_clock::time_point admitted);
+  void RunRequest(const std::shared_ptr<Connection>& conn,
+                  MessageHeader header, std::vector<std::uint8_t> payload,
+                  std::chrono::steady_clock::time_point admitted);
   /// Sets `server.uptime_seconds` from `started_at_`; returns the value.
   std::uint64_t RefreshUptimeGauge();
   /// The server's own `kStats` sections (the router's callback).
